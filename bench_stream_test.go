@@ -24,12 +24,11 @@ func benchStreamPoint(b *testing.B, stream bool, workers int) {
 	b.Helper()
 	pool := compute.NewPool(workers)
 	defer pool.Close()
-	spec := harness.PointSpec{
+	spec := harness.Deployment{
 		System:         harness.SysPPBFT,
 		NC:             4,
-		F:              1,
 		Offered:        2000,
-		Duration:       2 * time.Second,
+		Stop:           2 * time.Second,
 		Seed:           1,
 		BundleInterval: 50 * time.Millisecond,
 		Compute:        pool,

@@ -141,12 +141,12 @@ func BenchmarkAblationCertificates(b *testing.B) {
 			{"narwhal_rbc_ms", harness.SysNarwhal},
 			{"stratus_pab_ms", harness.SysStratus},
 		} {
-			res, err := harness.RunPoint(harness.PointSpec{
-				System:   v.sys,
-				NC:       4,
-				Offered:  4000,
-				Duration: 3e9, // 3s
-				Seed:     int64(i + 1),
+			res, err := harness.RunPoint(harness.Deployment{
+				System:  v.sys,
+				NC:      4,
+				Offered: 4000,
+				Stop:    3e9, // 3s
+				Seed:    int64(i + 1),
 			})
 			if err != nil {
 				b.Fatal(err)

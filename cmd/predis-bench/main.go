@@ -15,7 +15,8 @@
 // experiment sweeps 10²..5·10⁴-node populations (aggregated client
 // flows, k-ary multicast trees); its latency/depth/throughput tables are
 // deterministic while its machine-cost table (wall-clock, peak RSS) is
-// inherently host-dependent, so scale does not participate in -replay.
+// inherently host-dependent, so scale does not participate in -replay;
+// nor does fig8, whose propagation rigs run no consensus group.
 // The latfloor experiment contrasts block-granularity commit with
 // streaming commit (-mode stream elsewhere) on the same P-PBFT
 // deployment; see EXPERIMENTS.md "Latency floor".
@@ -80,7 +81,7 @@ func parse(argv []string) (cli, []string, error) {
 	fs.StringVar(&c.mode, "mode", "block", "commit mode for mode-aware experiments (quickstart): block = classic block-granularity commit, stream = streaming commit (seal→order→distribute→execute pipelined at bundle granularity); latfloor always contrasts both")
 	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&c.memProfile, "memprofile", "", "write a heap profile to this file at exit")
-	fs.BoolVar(&c.replay, "replay", false, "print the delivery replay hash for supporting experiments (quickstart, recovery, byzantine, contention, latfloor); identical across -workers/-parallel settings")
+	fs.BoolVar(&c.replay, "replay", false, "print the delivery replay hash for every experiment but fig8 and scale (their points then run sequentially); identical across -workers/-parallel settings")
 	fs.BoolVar(&c.trace, "trace", false, "write Chrome trace-event JSON for supporting experiments")
 	fs.StringVar(&c.traceOut, "trace-out", "", "trace output path (default <id>-trace.json)")
 	fs.BoolVar(&c.metrics, "metrics", false, "write stage/metric/sample CSVs for supporting experiments")
@@ -185,9 +186,9 @@ func run(argv []string) int {
 
 func runOne(e harness.Experiment, opts harness.Options, c cli) int {
 	fmt.Printf("### %s — %s\n", e.ID, e.Title)
-	var sink *harness.ObsSink
+	var sink *harness.Sink
 	if c.trace || c.metrics {
-		sink = &harness.ObsSink{}
+		sink = &harness.Sink{}
 		opts.Obs = sink
 	}
 	var replay *harness.ReplayTrace
@@ -222,7 +223,7 @@ func runOne(e harness.Experiment, opts harness.Options, c cli) int {
 
 // export writes the observability artifacts an experiment deposited in
 // the sink. Experiments without observability leave the sink empty.
-func export(id string, sink *harness.ObsSink, c cli) int {
+func export(id string, sink *harness.Sink, c cli) int {
 	if sink.Trace == nil {
 		fmt.Printf("(%s does not support -trace/-metrics; nothing exported)\n", id)
 		return 0
@@ -322,9 +323,10 @@ Flags:
   -trace-out P   trace output path (default <id>-trace.json)
   -metrics       write stage/metric/sample/link CSVs
   -metrics-out P CSV path prefix (default <id>)
-  -replay        print "replay <id> <sha256> <deliveries>" for supporting
-                 experiments (quickstart, recovery, byzantine, contention, latfloor);
-                 the hash is identical for any -workers/-parallel setting
+  -replay        print "replay <id> <sha256> <deliveries>" for every
+                 experiment but fig8 and scale (points then run one at a
+                 time); the hash is identical for any -workers/-parallel
+                 setting
   -cpuprofile P  write a CPU profile (inspect with go tool pprof)
   -memprofile P  write a heap profile at exit
 `)

@@ -14,11 +14,8 @@ import (
 	"time"
 
 	"predis/internal/crypto"
-	"predis/internal/node"
-	"predis/internal/simnet"
+	"predis/internal/harness"
 	"predis/internal/types"
-	"predis/internal/wire"
-	"predis/internal/workload"
 )
 
 const accounts = 16
@@ -63,60 +60,31 @@ func main() {
 func run() error {
 	const (
 		nc       = 4
-		f        = 1
 		duration = 3 * time.Second
 	)
-	node.RegisterAllMessages()
-	net := simnet.New(simnet.Config{
-		Uplink: simnet.Mbps100, Downlink: simnet.Mbps100,
-		Latency: simnet.LANLatency(), Seed: 7,
-	})
-	suite := crypto.NewEd25519Suite(nc, 99)
-
 	ledgers := make([]*ledger, nc)
-	for i := 0; i < nc; i++ {
-		i := i
+	for i := range ledgers {
 		ledgers[i] = &ledger{}
-		n, err := node.New(node.Config{
-			Mode:           node.ModePredis,
-			Engine:         node.EnginePBFT,
-			NC:             nc,
-			F:              f,
-			Self:           wire.NodeID(i),
-			Signer:         suite.Signer(i),
-			BundleSize:     50,
-			BundleInterval: 20 * time.Millisecond,
-			ViewTimeout:    time.Second,
-			ReplyToClients: true,
-			OnCommit: func(height uint64, txs []*types.Transaction) {
-				for _, tx := range txs {
-					ledgers[i].apply(tx)
-				}
-			},
-		})
-		if err != nil {
-			return err
-		}
-		net.AddNode(wire.NodeID(i), n)
 	}
-
-	for k := 0; k < 2; k++ {
-		net.AddNode(wire.NodeID(200+k), workload.NewClient(workload.ClientConfig{
-			Self:     wire.NodeID(200 + k),
-			Targets:  []wire.NodeID{0, 1, 2, 3},
-			Policy:   workload.RoundRobin,
-			Rate:     400,
-			TxSize:   types.DefaultTxSize,
-			F:        f,
-			Epoch:    simnet.Epoch,
-			GenStart: simnet.Epoch.Add(50 * time.Millisecond),
-			GenStop:  simnet.Epoch.Add(duration),
-		}))
+	dep, err := harness.Build(harness.Deployment{
+		System:      harness.SysPPBFT,
+		Seed:        7,
+		Suite:       crypto.NewEd25519Suite(nc, 99),
+		ViewTimeout: time.Second,
+		Clients:     2, ClientBase: 200, Offered: 800,
+		Stop: duration,
+		Apply: func(node int, txs []*types.Transaction) {
+			for _, tx := range txs {
+				ledgers[node].apply(tx)
+			}
+		},
+	})
+	if err != nil {
+		return err
 	}
 
 	fmt.Println("bank: replicating transfers over P-PBFT…")
-	net.Start()
-	net.Run(duration + 2*time.Second)
+	dep.Run(duration + 2*time.Second)
 
 	ref := ledgers[0].digest()
 	for i := 1; i < nc; i++ {

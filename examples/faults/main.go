@@ -34,12 +34,9 @@ import (
 	"predis/internal/core"
 	"predis/internal/crypto"
 	"predis/internal/faults"
-	"predis/internal/multizone"
-	"predis/internal/node"
-	"predis/internal/simnet"
+	"predis/internal/harness"
 	"predis/internal/types"
 	"predis/internal/wire"
-	"predis/internal/workload"
 )
 
 func main() {
@@ -121,64 +118,32 @@ func silentLeader() error {
 	fmt.Println("scenario 2: silent leader → view change")
 	const (
 		nc       = 4
-		f        = 1
 		duration = 6 * time.Second
 	)
-	node.RegisterAllMessages()
-	net := simnet.New(simnet.Config{
-		Uplink: simnet.Mbps100, Downlink: simnet.Mbps100,
-		Latency: simnet.LANLatency(), Seed: 5,
-	})
-	suite := crypto.NewEd25519Suite(nc, 12)
-
 	commits := make([]int, nc)
-	nodes := make([]*node.Node, nc)
-	for i := 0; i < nc; i++ {
-		i := i
-		fault := core.FaultNone
-		if i == 0 {
-			fault = core.FaultSilent // the view-0 leader says nothing
-		}
-		n, err := node.New(node.Config{
-			Mode:           node.ModePredis,
-			Engine:         node.EnginePBFT,
-			NC:             nc,
-			F:              f,
-			Self:           wire.NodeID(i),
-			Signer:         suite.Signer(i),
-			BundleSize:     25,
-			BundleInterval: 20 * time.Millisecond,
-			ViewTimeout:    time.Second,
-			Fault:          fault,
-			ReplyToClients: true,
-			OnCommit: func(height uint64, txs []*types.Transaction) {
-				commits[i] += len(txs)
-			},
-		})
-		if err != nil {
-			return err
-		}
-		nodes[i] = n
-		net.AddNode(wire.NodeID(i), n)
+	dep, err := harness.Build(harness.Deployment{
+		System:      harness.SysPPBFT,
+		Seed:        5,
+		Suite:       crypto.NewEd25519Suite(nc, 12),
+		BundleSize:  25,
+		ViewTimeout: time.Second,
+		Faults:      map[wire.NodeID]core.FaultMode{0: core.FaultSilent}, // the view-0 leader says nothing
+		Clients:     1, ClientBase: 300, Offered: 300,
+		Targets: []wire.NodeID{1, 2, 3}, // honest nodes only
+		Stop:    duration,
+		OnCommit: func(node int, height uint64, txs int, at time.Duration) {
+			commits[node] += txs
+		},
+	})
+	if err != nil {
+		return err
 	}
-	net.AddNode(300, workload.NewClient(workload.ClientConfig{
-		Self:     300,
-		Targets:  []wire.NodeID{1, 2, 3}, // honest nodes only
-		Policy:   workload.RoundRobin,
-		Rate:     300,
-		TxSize:   types.DefaultTxSize,
-		F:        f,
-		Epoch:    simnet.Epoch,
-		GenStart: simnet.Epoch.Add(50 * time.Millisecond),
-		GenStop:  simnet.Epoch.Add(duration),
-	}))
 
 	fmt.Println("  node 0 leads view 0 but is silent; followers must replace it…")
-	net.Start()
-	net.Run(duration + time.Second)
+	dep.Run(duration + time.Second)
 
 	type viewer interface{ View() uint64 }
-	v := nodes[1].Engine().(viewer).View()
+	v := dep.Nodes[1].Engine().(viewer).View()
 	fmt.Printf("  node 1 is now in view %d (0 would mean no view change)\n", v)
 	if v == 0 {
 		return fmt.Errorf("no view change happened")
@@ -193,88 +158,39 @@ func silentLeader() error {
 	return nil
 }
 
+// zoneUnderFault is the deployment scenarios 3 and 4 share: one zone of
+// six full nodes over a P-PBFT group, 300 tx/s for 12 simulated seconds,
+// with one scripted fault.
+func zoneUnderFault(seed int64, fault faults.Action) (*harness.Built, error) {
+	return harness.Build(harness.Deployment{
+		System:      harness.SysPPBFT,
+		Seed:        seed,
+		Suite:       crypto.NewSimSuite(4, 31),
+		BundleSize:  25,
+		ViewTimeout: time.Second,
+		Zones:       1, FullNodes: 6,
+		Alive:    200 * time.Millisecond,
+		Schedule: []faults.Action{fault},
+		Clients:  1, ClientBase: 400, Offered: 300,
+		Start: 300 * time.Millisecond,
+		Stop:  12 * time.Second,
+	})
+}
+
 // relayerCrash runs one Multi-Zone zone over a P-PBFT group, crashes the
 // zone's first relayer through a scripted fault window, and narrates the
 // recovery: heartbeat expiry, stripe re-election, re-subscription after
 // restart, and chain catch-up.
 func relayerCrash() error {
 	fmt.Println("scenario 3: relayer crash → re-election → catch-up")
-	const (
-		nc, f    = 4, 1
-		perZone  = 6
-		rate     = 300.0
-		duration = 12 * time.Second
-	)
+	const duration = 12 * time.Second
 	crashAt, restartAt := 4*time.Second, 7*time.Second
-
-	node.RegisterAllMessages()
-	multizone.RegisterMessages()
-	net := simnet.New(simnet.Config{
-		Uplink: simnet.Mbps100, Downlink: simnet.Mbps100,
-		Latency: simnet.LANLatency(), Seed: 21,
-	})
-	suite := crypto.NewSimSuite(nc, 31)
-	striper, err := multizone.NewStriper(nc, f)
+	victim := wire.NodeID(100) // first joiner: claims stripes, relays
+	dep, err := zoneUnderFault(21, faults.CrashWindow{Node: victim, From: crashAt, To: restartAt})
 	if err != nil {
 		return err
 	}
-	for i := 0; i < nc; i++ {
-		host, err := multizone.NewConsensusHost(multizone.HostConfig{
-			NC: nc, F: f, Self: wire.NodeID(i),
-			Signer:         suite.Signer(i),
-			Engine:         node.EnginePBFT,
-			BundleSize:     25,
-			BundleInterval: 20 * time.Millisecond,
-			ViewTimeout:    time.Second,
-			Striper:        striper,
-			ReplyToClients: true,
-		})
-		if err != nil {
-			return err
-		}
-		net.AddNode(wire.NodeID(i), host)
-	}
-	fullID := func(k int) wire.NodeID { return wire.NodeID(100 + k) }
-	fulls := make([]*multizone.FullNode, perZone)
-	for k := 0; k < perZone; k++ {
-		peers := make([]wire.NodeID, 0, perZone-1)
-		for p := 0; p < perZone; p++ {
-			if p != k {
-				peers = append(peers, fullID(p))
-			}
-		}
-		fn, err := multizone.NewFullNode(multizone.FullNodeConfig{
-			Self: fullID(k), Zone: 0, JoinSeq: uint64(k),
-			NC: nc, F: f,
-			Striper:        striper,
-			Signer:         suite.Signer(0),
-			ZonePeers:      peers,
-			AliveInterval:  200 * time.Millisecond,
-			DigestInterval: time.Second,
-		})
-		if err != nil {
-			return err
-		}
-		fulls[k] = fn
-		net.AddNode(fullID(k), &multizone.Delayed{Inner: fn, Delay: time.Duration(k) * 20 * time.Millisecond})
-	}
-	victim := fullID(0) // first joiner: claims stripes, relays
-
-	inj := faults.Install(net, faults.Schedule{Seed: 21, Actions: []faults.Action{
-		faults.CrashWindow{Node: victim, From: crashAt, To: restartAt},
-	}})
-
-	targets := make([]wire.NodeID, nc)
-	for i := range targets {
-		targets[i] = wire.NodeID(i)
-	}
-	net.AddNode(400, workload.NewClient(workload.ClientConfig{
-		Self: 400, Targets: targets, Policy: workload.RoundRobin,
-		Rate: rate, TxSize: types.DefaultTxSize, F: f,
-		Epoch:    simnet.Epoch,
-		GenStart: simnet.Epoch.Add(300 * time.Millisecond),
-		GenStop:  simnet.Epoch.Add(duration),
-	}))
+	net, fulls := dep.Net, dep.Fulls
 
 	// Timeline probe: every second, report who relays and where the
 	// victim's chain head is relative to the zone.
@@ -312,11 +228,10 @@ func relayerCrash() error {
 
 	fmt.Printf("  victim %d is the zone's first relayer; crash window [%v, %v)\n",
 		victim, crashAt, restartAt)
-	net.Start()
-	net.Run(duration)
+	dep.Run(duration)
 
 	fmt.Println("  fault schedule trace:")
-	fmt.Print(indent(inj.TraceString(), "    "))
+	fmt.Print(indent(dep.Faults.TraceString(), "    "))
 
 	var live uint64
 	for _, fn := range fulls {
@@ -341,93 +256,22 @@ func relayerCrash() error {
 // offender, keep completing blocks.
 func corruptingRelayer() error {
 	fmt.Println("scenario 4: corrupting relayer → reject → refetch → quarantine")
-	const (
-		nc, f    = 4, 1
-		perZone  = 6
-		rate     = 300.0
-		duration = 12 * time.Second
-	)
 	attackFrom, attackTo := 4*time.Second, 7*time.Second
-
-	node.RegisterAllMessages()
-	multizone.RegisterMessages()
-	net := simnet.New(simnet.Config{
-		Uplink: simnet.Mbps100, Downlink: simnet.Mbps100,
-		Latency: simnet.LANLatency(), Seed: 23,
-	})
-	suite := crypto.NewSimSuite(nc, 31)
-	striper, err := multizone.NewStriper(nc, f)
+	evil := wire.NodeID(100) // first joiner: claims stripes, so its forgeries fan out widest
+	dep, err := zoneUnderFault(23, faults.CorruptStripe{Node: evil, From: attackFrom, To: attackTo})
 	if err != nil {
 		return err
 	}
-	for i := 0; i < nc; i++ {
-		host, err := multizone.NewConsensusHost(multizone.HostConfig{
-			NC: nc, F: f, Self: wire.NodeID(i),
-			Signer:         suite.Signer(i),
-			Engine:         node.EnginePBFT,
-			BundleSize:     25,
-			BundleInterval: 20 * time.Millisecond,
-			ViewTimeout:    time.Second,
-			Striper:        striper,
-			ReplyToClients: true,
-		})
-		if err != nil {
-			return err
-		}
-		net.AddNode(wire.NodeID(i), host)
-	}
-	fullID := func(k int) wire.NodeID { return wire.NodeID(100 + k) }
-	fulls := make([]*multizone.FullNode, perZone)
-	for k := 0; k < perZone; k++ {
-		peers := make([]wire.NodeID, 0, perZone-1)
-		for p := 0; p < perZone; p++ {
-			if p != k {
-				peers = append(peers, fullID(p))
-			}
-		}
-		fn, err := multizone.NewFullNode(multizone.FullNodeConfig{
-			Self: fullID(k), Zone: 0, JoinSeq: uint64(k),
-			NC: nc, F: f,
-			Striper:        striper,
-			Signer:         suite.Signer(0),
-			ZonePeers:      peers,
-			AliveInterval:  200 * time.Millisecond,
-			DigestInterval: time.Second,
-		})
-		if err != nil {
-			return err
-		}
-		fulls[k] = fn
-		net.AddNode(fullID(k), &multizone.Delayed{Inner: fn, Delay: time.Duration(k) * 20 * time.Millisecond})
-	}
-	evil := fullID(0) // first joiner: claims stripes, so its forgeries fan out widest
-
-	inj := faults.Install(net, faults.Schedule{Seed: 23, Actions: []faults.Action{
-		faults.CorruptStripe{Node: evil, From: attackFrom, To: attackTo},
-	}})
-
-	targets := make([]wire.NodeID, nc)
-	for i := range targets {
-		targets[i] = wire.NodeID(i)
-	}
-	net.AddNode(400, workload.NewClient(workload.ClientConfig{
-		Self: 400, Targets: targets, Policy: workload.RoundRobin,
-		Rate: rate, TxSize: types.DefaultTxSize, F: f,
-		Epoch:    simnet.Epoch,
-		GenStart: simnet.Epoch.Add(300 * time.Millisecond),
-		GenStop:  simnet.Epoch.Add(duration),
-	}))
 
 	fmt.Printf("  node %d's outgoing stripes are forged during [%v, %v)\n",
 		evil, attackFrom, attackTo)
-	net.Start()
-	net.Run(duration)
+	dep.Run(12 * time.Second)
 
 	fmt.Println("  fault schedule trace:")
-	fmt.Print(indent(inj.TraceString(), "    "))
+	fmt.Print(indent(dep.Faults.TraceString(), "    "))
 
 	var rejected, refetches, quarantines uint64
-	for _, fn := range fulls {
+	for _, fn := range dep.Fulls {
 		rj, rf, q, _ := fn.ByzStats()
 		rejected += rj
 		refetches += rf
@@ -438,7 +282,7 @@ func corruptingRelayer() error {
 			rejected, refetches, quarantines)
 	}
 	var low, high uint64 = ^uint64(0), 0
-	for _, fn := range fulls {
+	for _, fn := range dep.Fulls {
 		h := fn.LastHeight()
 		if h < low {
 			low = h

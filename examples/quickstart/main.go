@@ -12,10 +12,8 @@ import (
 	"time"
 
 	"predis/internal/crypto"
-	"predis/internal/node"
+	"predis/internal/harness"
 	"predis/internal/simnet"
-	"predis/internal/types"
-	"predis/internal/wire"
 	"predis/internal/workload"
 )
 
@@ -27,68 +25,32 @@ func main() {
 }
 
 func run() error {
-	const (
-		nc       = 4
-		f        = 1
-		duration = 3 * time.Second
-	)
-	node.RegisterAllMessages()
-
-	// A 100 Mbps network with the paper's LAN emulation (25 ms links).
-	net := simnet.New(simnet.Config{
-		Uplink:   simnet.Mbps100,
-		Downlink: simnet.Mbps100,
-		Latency:  simnet.LANLatency(),
-		Seed:     1,
-	})
+	const duration = 3 * time.Second
 	collector := workload.NewCollector(simnet.Epoch, simnet.Epoch.Add(duration))
-
-	// Real ed25519 keys: the examples run the production crypto path.
-	suite := crypto.NewEd25519Suite(nc, 2024)
-	for i := 0; i < nc; i++ {
-		i := i
-		n, err := node.New(node.Config{
-			Mode:           node.ModePredis,
-			Engine:         node.EngineHotStuff,
-			NC:             nc,
-			F:              f,
-			Self:           wire.NodeID(i),
-			Signer:         suite.Signer(i),
-			BundleSize:     50,
-			BundleInterval: 20 * time.Millisecond,
-			ViewTimeout:    time.Second,
-			ReplyToClients: true,
-			OnCommit: func(height uint64, txs []*types.Transaction) {
-				if i == 0 { // one replica narrates
-					fmt.Printf("  block %-3d committed with %3d txs at t=%v\n",
-						height, len(txs), net.Elapsed().Round(time.Millisecond))
-					collector.RecordNodeCommit(net.Now(), len(txs))
-				}
-			},
-		})
-		if err != nil {
-			return err
-		}
-		net.AddNode(wire.NodeID(i), n)
+	// P-HS on a 100 Mbps network with the paper's LAN emulation (25 ms
+	// links).
+	dep, err := harness.Build(harness.Deployment{
+		System: harness.SysPHS,
+		Seed:   1,
+		// Real ed25519 keys: the examples run the production crypto path.
+		Suite:       crypto.NewEd25519Suite(4, 2024),
+		ViewTimeout: time.Second,
+		Clients:     1, ClientBase: 100, Offered: 1000,
+		Stop:      duration,
+		Collector: collector,
+		OnCommit: func(node int, height uint64, txs int, at time.Duration) {
+			if node == 0 { // one replica narrates
+				fmt.Printf("  block %-3d committed with %3d txs at t=%v\n",
+					height, txs, at.Round(time.Millisecond))
+			}
+		},
+	})
+	if err != nil {
+		return err
 	}
 
-	client := workload.NewClient(workload.ClientConfig{
-		Self:      wire.NodeID(100),
-		Targets:   []wire.NodeID{0, 1, 2, 3},
-		Policy:    workload.RoundRobin,
-		Rate:      1000,
-		TxSize:    types.DefaultTxSize,
-		F:         f,
-		Epoch:     simnet.Epoch,
-		GenStart:  simnet.Epoch.Add(50 * time.Millisecond),
-		GenStop:   simnet.Epoch.Add(duration),
-		Collector: collector,
-	})
-	net.AddNode(100, client)
-
 	fmt.Println("quickstart: 4-node P-HS, 1000 tx/s offered for 3s (simulated)")
-	net.Start()
-	net.Run(duration + time.Second) // drain in-flight work
+	dep.Run(duration + time.Second) // drain in-flight work
 
 	sub, confirmed, committed, blocks := collector.Counts()
 	lat := collector.Latency()

@@ -345,16 +345,6 @@ func (s Slow) describe() string {
 	return fmt.Sprintf("node %d slow (%.0f%% drop) during [%s, %s)", s.Node, s.DropProb*100, s.From, s.To)
 }
 
-// Describe renders the whole schedule, one action per line, in a stable
-// order (useful for experiment banners).
-func (s Schedule) Describe() string {
-	lines := make([]string, 0, len(s.Actions))
-	for _, a := range s.Actions {
-		lines = append(lines, a.describe())
-	}
-	return strings.Join(lines, "\n")
-}
-
 func idSet(ids []wire.NodeID) map[wire.NodeID]bool {
 	m := make(map[wire.NodeID]bool, len(ids))
 	for _, id := range ids {

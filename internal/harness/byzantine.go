@@ -163,23 +163,11 @@ func Byzantine(o Options) ([]*stats.Table, error) {
 		return nil, err
 	}
 
-	spec := recoverySpec{
-		nc: 4, f: 1, zones: 2, perZone: 5,
-		offered: 6000, duration: 16 * time.Second,
-		bucket:    500 * time.Millisecond,
-		seed:      o.seed(),
-		crashFrom: 6 * time.Second, crashTo: 9 * time.Second,
-		pool: o.Compute,
-	}
-	if o.Quick {
-		spec.perZone = 4
-		spec.offered = 3000
-		spec.duration = 12 * time.Second
-		spec.crashFrom, spec.crashTo = 4*time.Second, 6*time.Second
-	}
-	warm := time.Duration(spec.zones*spec.perZone)*20*time.Millisecond + 700*time.Millisecond
+	crashFrom, crashTo := crashWindow(o)
+	d := recoveryDeployment(o, 12*time.Second).withDefaults()
+	d.Suite = crypto.NewSimSuite(d.NC, uint64(d.Seed)+7)
+	warm := d.joinWindow() + 500*time.Millisecond
 	relayer := wire.NodeID(100) // first joiner of zone 0: claims stripes, relays
-	suite := crypto.NewSimSuite(spec.nc, uint64(spec.seed)+7)
 
 	scenarios := []struct {
 		name      string
@@ -191,7 +179,7 @@ func Byzantine(o Options) ([]*stats.Table, error) {
 		{
 			name: "corrupt-stripes",
 			actions: []faults.Action{faults.CorruptStripe{
-				Node: relayer, From: spec.crashFrom, To: spec.crashTo}},
+				Node: relayer, From: crashFrom, To: crashTo}},
 			check: func(r recoveryResult) error {
 				if r.rejected == 0 || r.refetches == 0 || r.quarantines == 0 {
 					return fmt.Errorf("corruption went unpunished: rejected=%d refetches=%d quarantines=%d",
@@ -204,7 +192,7 @@ func Byzantine(o Options) ([]*stats.Table, error) {
 			name:   "withhold-stripes",
 			starve: 3,
 			actions: []faults.Action{faults.WithholdStripes{
-				Node: relayer, From: spec.crashFrom, To: spec.crashTo}},
+				Node: relayer, From: crashFrom, To: crashTo}},
 			check: func(r recoveryResult) error {
 				if r.rewires == 0 {
 					return fmt.Errorf("starved subscribers never rewired")
@@ -215,7 +203,7 @@ func Byzantine(o Options) ([]*stats.Table, error) {
 		{
 			name: "garbage-wire",
 			actions: []faults.Action{faults.GarbageWire{
-				Node: relayer, From: spec.crashFrom, To: spec.crashTo}},
+				Node: relayer, From: crashFrom, To: crashTo}},
 			check: func(r recoveryResult) error {
 				if r.undecodable == 0 {
 					return fmt.Errorf("garbage frames were not counted as undecodable drops")
@@ -227,9 +215,9 @@ func Byzantine(o Options) ([]*stats.Table, error) {
 			name:      "equivocate-leader",
 			consensus: true,
 			actions: []faults.Action{faults.EquivocateLeader{
-				Node: 0, Signer: suite.Signer(0),
+				Node: 0, Signer: d.Suite.Signer(0),
 				Victims: []wire.NodeID{2, 3},
-				From:    spec.crashFrom, To: spec.crashTo}},
+				From:    crashFrom, To: crashTo}},
 			check: func(r recoveryResult) error {
 				if r.equivocations == 0 {
 					return fmt.Errorf("equivocating leader never proven")
@@ -254,12 +242,10 @@ func Byzantine(o Options) ([]*stats.Table, error) {
 		XLabel: "row",
 	}
 	for _, sc := range scenarios {
-		s := spec
-		s.victimConsensus = sc.consensus
-		s.actions = sc.actions
-		s.starveRewire = sc.starve
-		s.trace = o.Replay // scenarios run sequentially: folding all is deterministic
-		res, err := runRecovery(s)
+		// Scenarios run sequentially: folding all into one replay trace
+		// is deterministic.
+		d.Schedule, d.StarveRewire = sc.actions, sc.starve
+		res, err := runRecovery(d, sc.consensus)
 		if err != nil {
 			return nil, fmt.Errorf("byzantine %s: %w", sc.name, err)
 		}
@@ -270,17 +256,9 @@ func Byzantine(o Options) ([]*stats.Table, error) {
 			return nil, fmt.Errorf("byzantine %s: %w", sc.name, err)
 		}
 
-		ts := &stats.Series{Name: sc.name}
-		for i, v := range res.buckets {
-			end := time.Duration(i+1) * s.bucket
-			if end > s.duration {
-				break
-			}
-			ts.Add(end.Seconds(), v/s.bucket.Seconds())
-		}
-		timeline.Series = append(timeline.Series, ts)
+		timeline.Series = append(timeline.Series, bucketSeries(sc.name, res.buckets, d.Stop))
 
-		baseline, floor, dip, ttr := recoveryMetrics(res.buckets, s.bucket, warm, s.crashFrom, s.crashTo)
+		baseline, floor, dip, ttr := recoveryMetrics(res.buckets, recoveryBucket, warm, crashFrom, crashTo)
 		if baseline <= 0 {
 			return nil, fmt.Errorf("byzantine %s: no pre-attack baseline", sc.name)
 		}
@@ -290,10 +268,10 @@ func Byzantine(o Options) ([]*stats.Table, error) {
 		var tailSum float64
 		tailN := 0
 		for i := range res.buckets {
-			start := time.Duration(i) * s.bucket
-			end := start + s.bucket
-			if start >= s.crashTo+s.bucket && end <= s.duration {
-				tailSum += res.buckets[i] / s.bucket.Seconds()
+			start := time.Duration(i) * recoveryBucket
+			end := start + recoveryBucket
+			if start >= crashTo+recoveryBucket && end <= d.Stop {
+				tailSum += res.buckets[i] / recoveryBucket.Seconds()
 				tailN++
 			}
 		}

@@ -8,20 +8,9 @@ import (
 	"predis/internal/crypto"
 	"predis/internal/exec"
 	"predis/internal/ledger"
-	"predis/internal/multizone"
-	"predis/internal/node"
-	"predis/internal/simnet"
 	"predis/internal/stats"
-	"predis/internal/types"
-	"predis/internal/wire"
 	"predis/internal/workload"
 )
-
-// execGenesis is the genesis balance of every account in the harness's
-// execution-plane deployments. Against contentionAmount-sized transfers
-// it leaves room for a hot account to drain into deterministic aborts
-// within a run.
-const execGenesis = 1000
 
 // contentionAmount is the per-transfer amount (and RMW delta).
 const contentionAmount = 50
@@ -73,37 +62,31 @@ type contentionResult struct {
 // with state roots — under a skewed semantic workload. serial selects
 // the reference serial committer on every node.
 func runContention(o Options, zipf workload.ZipfConfig, serial bool) (contentionResult, error) {
-	nc, f := 4, 1
-	perZone := 2
-	offered := 3000.0
-	duration := 5 * time.Second
+	d := o.deployment()
+	d.System, d.Exec = SysPHS, ExecParallel
+	if serial {
+		d.Exec = ExecSerial
+	}
+	// One small zone of full nodes; the first persists the chain (with
+	// state roots) to an in-memory ledger, and every one executes on its
+	// own machine, so the persisted chain is cross-checked against the
+	// consensus-side executors.
+	d.Zones, d.FullNodes, d.Ledger = 1, 2, ledger.New()
+	d.Offered, d.Stop = 3000, d.joinWindow()+5*time.Second
 	if o.Quick {
-		offered = 1200
-		duration = 2 * time.Second
+		d.Offered, d.Stop = 1200, d.joinWindow()+2*time.Second
 	}
-	seed := o.seed()
-
-	node.RegisterAllMessages()
-	multizone.RegisterMessages()
-
-	net := simnet.New(simnet.Config{
-		Uplink: simnet.Mbps100, Downlink: simnet.Mbps100,
-		Latency: simnet.LANLatency(), Seed: seed,
-		Compute: o.Compute,
-	})
-	if o.Replay != nil {
-		o.Replay.Attach(net)
-	}
+	d.Ops = workload.NewZipfOps(zipf).Op
 
 	res := contentionResult{
 		roots:      make(map[uint64]crypto.Hash),
 		rootsAgree: true,
 		ledgerOK:   true,
 	}
-	// recordRoot cross-checks every executing node's root at a height:
-	// the committed sequence is deterministic, so disagreement means the
+	// Every executing node's root at a height is cross-checked: the
+	// committed sequence is deterministic, so disagreement means the
 	// execution plane diverged.
-	recordRoot := func(r exec.Result) {
+	d.OnExecute = func(r exec.Result) {
 		if prev, ok := res.roots[r.Height]; ok {
 			if prev != r.StateRoot {
 				res.rootsAgree = false
@@ -112,110 +95,18 @@ func runContention(o Options, zipf workload.ZipfConfig, serial bool) (contention
 		}
 		res.roots[r.Height] = r.StateRoot
 	}
-
-	joinWindow := time.Duration(perZone)*20*time.Millisecond + 200*time.Millisecond
-	horizon := joinWindow + duration
-	warm := simnet.Epoch.Add(joinWindow + duration/4)
-	end := simnet.Epoch.Add(horizon)
-	col := workload.NewCollector(warm, end)
-
-	suite := crypto.NewSimSuite(nc, uint64(seed)+7)
-	striper, err := multizone.NewStriper(nc, f)
+	col := d.measured()
+	d.Collector = col
+	b, err := Build(d)
 	if err != nil {
 		return res, err
 	}
-
-	machines := make([]*exec.Machine, nc)
-	for i := 0; i < nc; i++ {
-		i := i
-		machines[i] = exec.NewMachine(execGenesis)
-		host, err := multizone.NewConsensusHost(multizone.HostConfig{
-			NC: nc, F: f, Self: wire.NodeID(i),
-			Signer:         suite.Signer(i),
-			Engine:         node.EngineHotStuff,
-			BundleSize:     50,
-			BundleInterval: 20 * time.Millisecond,
-			ViewTimeout:    2 * time.Second,
-			Striper:        striper,
-			ReplyToClients: true,
-			Executor:       machines[i],
-			ExecSerial:     serial,
-			OnExecute:      recordRoot,
-			OnCommit: func(height uint64, txs int) {
-				if i == 0 {
-					col.RecordNodeCommit(net.Now(), txs)
-				}
-			},
-		})
-		if err != nil {
-			return res, err
-		}
-		net.AddNode(wire.NodeID(i), host)
-	}
-
-	// One small zone of full nodes; the first persists the chain (with
-	// state roots) to an in-memory ledger and executes on its own
-	// machine, so the persisted chain is cross-checked against the
-	// consensus-side executors.
-	led := ledger.New()
-	fullID := func(k int) wire.NodeID { return wire.NodeID(100 + k) }
-	for k := 0; k < perZone; k++ {
-		peers := make([]wire.NodeID, 0, perZone-1)
-		for p := 0; p < perZone; p++ {
-			if p != k {
-				peers = append(peers, fullID(p))
-			}
-		}
-		cfg := multizone.FullNodeConfig{
-			Self: fullID(k), Zone: 0, JoinSeq: uint64(k),
-			NC: nc, F: f,
-			Striper:       striper,
-			Signer:        suite.Signer(0),
-			ZonePeers:     peers,
-			AliveInterval: 300 * time.Millisecond,
-			Executor:      exec.NewMachine(execGenesis),
-			ExecSerial:    serial,
-			OnExecute:     recordRoot,
-		}
-		if k == 0 {
-			cfg.Ledger = led
-		}
-		fn, err := multizone.NewFullNode(cfg)
-		if err != nil {
-			return res, err
-		}
-		net.AddNode(fullID(k), &multizone.Delayed{Inner: fn, Delay: time.Duration(k) * 20 * time.Millisecond})
-	}
-
-	targets := make([]wire.NodeID, nc)
-	for i := range targets {
-		targets[i] = wire.NodeID(i)
-	}
-	ops := workload.NewZipfOps(zipf)
-	clients := nc
-	for k := 0; k < clients; k++ {
-		net.AddNode(wire.NodeID(5000+k), workload.NewClient(workload.ClientConfig{
-			Self:      wire.NodeID(5000 + k),
-			Targets:   targets,
-			Policy:    workload.RoundRobin,
-			Rate:      offered / float64(clients),
-			TxSize:    types.DefaultTxSize,
-			F:         f,
-			Epoch:     simnet.Epoch,
-			GenStart:  simnet.Epoch.Add(joinWindow),
-			GenStop:   end,
-			Collector: col,
-			Ops:       ops.Op,
-		}))
-	}
-
-	net.Start()
-	net.Run(horizon)
+	b.Run(d.Stop)
 
 	res.tps = col.Throughput()
-	res.stats = machines[0].Stats()
-	for h := uint64(1); h <= uint64(led.Len()); h++ {
-		e, err := led.Get(h)
+	res.stats = b.Machines[0].Stats()
+	for h := uint64(1); h <= uint64(d.Ledger.Len()); h++ {
+		e, err := d.Ledger.Get(h)
 		if err != nil {
 			return res, err
 		}

@@ -16,9 +16,9 @@ type Options struct {
 	// Seed drives every simulation in the experiment.
 	Seed int64
 	// Obs, when non-nil, receives the observability artifacts (tracer,
-	// metrics registry, simnet sampler) from experiments that support
-	// them; see ObsSink.
-	Obs *ObsSink
+	// metrics registry, simnet sampler) from experiments that observe
+	// their deployment (quickstart, recovery); see Sink.
+	Obs *Sink
 	// Workers caps how many independent experiment points run
 	// concurrently (wall-clock only; each point owns its own
 	// simnet.Network, so per-point results and replay hashes are
@@ -31,14 +31,13 @@ type Options struct {
 	// inline). It composes with Workers: concurrently running points
 	// share the one pool.
 	Compute *compute.Pool
-	// Replay, when non-nil, is attached to the network of experiments
-	// that support it (quickstart, recovery, latfloor): every delivery is
-	// folded into the trace so external callers (predis-bench -replay,
-	// tools/replaydiff) can assert cross-process hash equality. The
-	// sweep experiments leave it untouched — their points run
-	// concurrently under Workers, so a single shared trace would fold
-	// deliveries in nondeterministic order. latfloor drops to sequential
-	// execution when Replay is set, for the same reason.
+	// Replay, when non-nil, is attached to the network of every
+	// deployment an experiment builds (all but fig8 and scale, which run
+	// no consensus group): every delivery is folded into the trace so
+	// external callers (predis-bench -replay, tools/replaydiff) can
+	// assert cross-process hash equality. Points then run sequentially
+	// whatever Workers says, since a shared trace folded from concurrent
+	// points would depend on their interleaving.
 	Replay *ReplayTrace
 	// Stream switches mode-aware experiments (quickstart) to streaming
 	// commit: producers expose running bundle-chain cursors, consensus
@@ -55,6 +54,13 @@ func (o Options) seed() int64 {
 		return 1
 	}
 	return o.Seed
+}
+
+// deployment is the base of every deployment an experiment builds: the
+// run's seed, compute pool and replay trace. Experiments with several
+// points run them through fanOut, which serializes them under Replay.
+func (o Options) deployment() Deployment {
+	return Deployment{Seed: o.seed(), Compute: o.Compute, Replay: o.Replay}
 }
 
 func (o Options) workers() int {

@@ -52,19 +52,13 @@ func fig4SizeVariants(o Options, baseline, predis System, title string) ([]*stat
 	tput := &stats.Table{Title: title + " — throughput (tx/s) vs offered load", XLabel: "offered"}
 	lat := &stats.Table{Title: title + " — latency (ms) vs throughput", XLabel: "tput"}
 	type sweep struct{ tl, lat *stats.Series }
-	sweeps, err := parRun(len(variants), o.workers(), func(i int) (sweep, error) {
+	sweeps, err := fanOut(o, len(variants), func(i int) (sweep, error) {
 		v := variants[i]
-		base := PointSpec{
-			System:     v.sys,
-			NC:         4,
-			WAN:        true,
-			BundleSize: v.bundle,
-			BatchSize:  v.batch,
-			Duration:   fig4Duration(o),
-			Seed:       o.seed(),
-			Compute:    o.Compute,
-		}
-		ts, ls, err := LoadSweep(base, fig4Loads(o, v.bundle > 0), 1)
+		base := o.deployment()
+		base.System, base.WAN = v.sys, true
+		base.BundleSize, base.BatchSize = v.bundle, v.batch
+		base.Stop = fig4Duration(o)
+		ts, ls, err := LoadSweep(base, fig4Loads(o, v.bundle > 0))
 		if err != nil {
 			return sweep{}, err
 		}
@@ -103,7 +97,7 @@ func fig4Scalability(o Options, baseline, predis System, title string) ([]*stats
 	systems := []System{baseline, predis}
 	// Flatten (system × nc) into one worker-pool batch; results merge
 	// back by index, so series order matches the sequential loop.
-	specs := make([]PointSpec, 0, len(systems)*len(ncs))
+	specs := make([]Deployment, 0, len(systems)*len(ncs))
 	for _, sys := range systems {
 		for _, nc := range ncs {
 			// Offer more than either system can absorb so the measurement
@@ -112,19 +106,13 @@ func fig4Scalability(o Options, baseline, predis System, title string) ([]*stats
 			if sys == baseline {
 				offered = 12000
 			}
-			specs = append(specs, PointSpec{
-				System:   sys,
-				NC:       nc,
-				WAN:      true,
-				Offered:  offered,
-				Clients:  nc,
-				Duration: fig4Duration(o),
-				Seed:     o.seed(),
-				Compute:  o.Compute,
-			})
+			d := o.deployment()
+			d.System, d.NC, d.WAN = sys, nc, true
+			d.Offered, d.Stop = offered, fig4Duration(o)
+			specs = append(specs, d)
 		}
 	}
-	results, err := RunPoints(specs, o.workers())
+	results, err := runPoints(o, specs)
 	if err != nil {
 		return nil, err
 	}

@@ -20,18 +20,11 @@ func fig5(o Options, wan bool, title string) ([]*stats.Table, error) {
 	tput := &stats.Table{Title: title + " — throughput (tx/s) vs offered load", XLabel: "offered"}
 	lat := &stats.Table{Title: title + " — latency (ms) vs throughput", XLabel: "tput"}
 	type sweep struct{ tl, lat *stats.Series }
-	sweeps, err := parRun(len(systems), o.workers(), func(i int) (sweep, error) {
+	sweeps, err := fanOut(o, len(systems), func(i int) (sweep, error) {
 		sys := systems[i]
-		base := PointSpec{
-			System:     sys,
-			NC:         4,
-			WAN:        wan,
-			BundleSize: 50,
-			Duration:   duration,
-			Seed:       o.seed(),
-			Compute:    o.Compute,
-		}
-		ts, ls, err := LoadSweep(base, loads, 1)
+		base := o.deployment()
+		base.System, base.WAN, base.Stop = sys, wan, duration
+		ts, ls, err := LoadSweep(base, loads)
 		if err != nil {
 			return sweep{}, err
 		}

@@ -37,7 +37,7 @@ func Fig6(o Options) ([]*stats.Table, error) {
 		f       int
 	}
 	var keys []pointKey
-	var specs []PointSpec
+	var specs []Deployment
 	for ci, c := range cases {
 		for _, f := range []int{0, 1, 2} {
 			if c.mode == core.FaultNone && f > 0 {
@@ -51,20 +51,13 @@ func Fig6(o Options) ([]*stats.Table, error) {
 				faults[wire.NodeID(7-k)] = c.mode
 			}
 			keys = append(keys, pointKey{ci, f})
-			specs = append(specs, PointSpec{
-				System:   SysPPBFT,
-				NC:       8,
-				F:        2,
-				Offered:  offered,
-				Clients:  8,
-				Duration: duration,
-				Seed:     o.seed(),
-				Faults:   faults,
-				Compute:  o.Compute,
-			})
+			d := o.deployment()
+			d.System, d.NC, d.Offered, d.Stop = SysPPBFT, 8, offered, duration
+			d.Faults = faults
+			specs = append(specs, d)
 		}
 	}
-	results, err := RunPoints(specs, o.workers())
+	results, err := runPoints(o, specs)
 	if err != nil {
 		return nil, err
 	}

@@ -380,7 +380,7 @@ func Fig8(o Options) ([]*stats.Table, error) {
 				}})
 		}
 	}
-	series, err := parRun(len(jobs), o.workers(), func(i int) (*stats.Series, error) {
+	series, err := fanOut(o, len(jobs), func(i int) (*stats.Series, error) {
 		j := jobs[i]
 		spec := fig8Spec{nc: 8, f: 2, fullNodes: fullNodes, blockMB: j.mb, blocks: blocks, seed: o.seed(), pool: o.Compute}
 		cov, err := j.run(spec)

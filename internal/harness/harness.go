@@ -8,16 +8,11 @@ import (
 	"fmt"
 	"time"
 
-	"predis/internal/compute"
-	"predis/internal/core"
 	"predis/internal/crypto"
 	"predis/internal/env"
-	"predis/internal/multizone"
 	"predis/internal/node"
 	"predis/internal/simnet"
 	"predis/internal/stats"
-	"predis/internal/types"
-	"predis/internal/wire"
 	"predis/internal/workload"
 )
 
@@ -55,67 +50,6 @@ func modeEngine(sys System) (node.Mode, node.EngineKind, error) {
 	}
 }
 
-// PointSpec describes one throughput/latency measurement.
-type PointSpec struct {
-	System     System
-	NC, F      int
-	BundleSize int // bundle / microblock size (Predis, Narwhal, Stratus)
-	BatchSize  int // batch size (baseline PBFT / HotStuff)
-	WAN        bool
-	Offered    float64 // total offered load, tx/s
-	Clients    int
-	Duration   time.Duration
-	Seed       int64
-	Faults     map[wire.NodeID]core.FaultMode
-	// BundleInterval overrides the producer's bundle seal interval
-	// (default 20ms, the value every experiment used historically).
-	BundleInterval time.Duration
-	// Stream enables streaming commit (see node.Config.Stream): bundles
-	// seal per transaction, cuts are eager, consensus pipelines, and
-	// execution merges at bundle joins. Off, the point is byte-for-byte
-	// the historical block-mode measurement.
-	Stream bool
-	// Pipeline is the PBFT in-flight instance window; meaningful with
-	// Stream (default 1 = classic single-slot PBFT).
-	Pipeline int
-	// Trace, when non-nil, folds every delivery into a replay hash so
-	// tests can assert two same-seed runs are byte-identical.
-	Trace *ReplayTrace
-	// Compute, when active, offloads pure crypto/erasure work inside the
-	// simulated point; results and replay hashes are identical for any
-	// pool, including nil.
-	Compute *compute.Pool
-}
-
-func (s *PointSpec) withDefaults() PointSpec {
-	out := *s
-	if out.NC == 0 {
-		out.NC = 4
-	}
-	if out.F == 0 {
-		out.F = (out.NC - 1) / 3
-	}
-	if out.BundleSize == 0 {
-		out.BundleSize = 50
-	}
-	if out.BatchSize == 0 {
-		out.BatchSize = 800
-	}
-	if out.Clients == 0 {
-		out.Clients = 4
-	}
-	if out.Duration == 0 {
-		out.Duration = 5 * time.Second
-	}
-	if out.Seed == 0 {
-		out.Seed = 1
-	}
-	if out.BundleInterval == 0 {
-		out.BundleInterval = 20 * time.Millisecond
-	}
-	return out
-}
-
 // PointResult is the outcome of one measurement.
 type PointResult struct {
 	Throughput       float64 // consensus-side committed tx/s
@@ -130,128 +64,52 @@ type PointResult struct {
 	SpecEvictions uint64
 }
 
-// RunPoint builds the deployment for one spec, runs it, and measures.
-func RunPoint(spec PointSpec) (PointResult, error) {
-	s := spec.withDefaults()
-	mode, engine, err := modeEngine(s.System)
+// RunPoint builds d, runs it to Stop, and measures the window after the
+// first quarter. Unset, the point's own defaults apply: client IDs from
+// 1000 and simulated keys seeded Seed+100.
+func RunPoint(d Deployment) (PointResult, error) {
+	if d.ClientBase == 0 {
+		d.ClientBase = 1000
+	}
+	d = d.withDefaults()
+	if d.Suite == nil {
+		d.Suite = crypto.NewSimSuite(d.NC, uint64(d.Seed)+100)
+	}
+	col := workload.NewCollector(simnet.Epoch.Add(d.Stop/4), simnet.Epoch.Add(d.Stop))
+	d.Collector = col
+	b, err := Build(d)
 	if err != nil {
 		return PointResult{}, err
 	}
-	node.RegisterAllMessages()
-	multizone.RegisterMessages()
+	b.Run(d.Stop)
 
-	latency := simnet.LANLatency()
-	if s.WAN {
-		latency = simnet.WANLatency()
-	}
-	net := simnet.New(simnet.Config{
-		Uplink:   simnet.Mbps100,
-		Downlink: simnet.Mbps100,
-		Latency:  latency,
-		Seed:     s.Seed,
-		Compute:  s.Compute,
-	})
-	if s.Trace != nil {
-		s.Trace.Attach(net)
-	}
-	warm := simnet.Epoch.Add(s.Duration / 4)
-	end := simnet.Epoch.Add(s.Duration)
-	col := workload.NewCollector(warm, end)
-
-	suite := crypto.NewSimSuite(s.NC, uint64(s.Seed)+100)
-	nodes := make([]*node.Node, s.NC)
-	var evictions uint64
-	for i := 0; i < s.NC; i++ {
-		i := i
-		fault := core.FaultNone
-		if s.Faults != nil {
-			fault = s.Faults[wire.NodeID(i)]
-		}
-		cfg := node.Config{
-			Mode:           mode,
-			Engine:         engine,
-			NC:             s.NC,
-			F:              s.F,
-			Self:           wire.NodeID(i),
-			Signer:         suite.Signer(i),
-			BatchSize:      s.BatchSize,
-			BundleSize:     s.BundleSize,
-			BundleInterval: s.BundleInterval,
-			ViewTimeout:    2 * time.Second,
-			Fault:          fault,
-			Stream:         s.Stream,
-			Pipeline:       s.Pipeline,
-			ReplyToClients: true,
-			OnCommit: func(height uint64, txs []*types.Transaction) {
-				if i == 0 {
-					col.RecordNodeCommit(net.Now(), len(txs))
-				}
-			},
-		}
-		if s.Stream {
-			// Count retractions as the speculation-waste signal (the
-			// simulation runs on one goroutine, so a bare counter is safe).
-			cfg.OnBlockEvict = func(*core.PredisBlock) { evictions++ }
-		}
-		n, err := node.New(cfg)
-		if err != nil {
-			return PointResult{}, err
-		}
-		nodes[i] = n
-		net.AddNode(wire.NodeID(i), n)
-	}
-
-	targets := make([]wire.NodeID, s.NC)
-	for i := range targets {
-		targets[i] = wire.NodeID(i)
-	}
-	policy := workload.RoundRobin
-	if mode == node.ModeBaseline {
-		policy = workload.Broadcast
-	}
-	perClient := s.Offered / float64(s.Clients)
-	for k := 0; k < s.Clients; k++ {
-		cl := workload.NewClient(workload.ClientConfig{
-			Self:      wire.NodeID(1000 + k),
-			Targets:   targets,
-			Policy:    policy,
-			Rate:      perClient,
-			TxSize:    types.DefaultTxSize,
-			F:         s.F,
-			Epoch:     simnet.Epoch,
-			GenStart:  simnet.Epoch.Add(50 * time.Millisecond),
-			GenStop:   end,
-			Collector: col,
-		})
-		net.AddNode(wire.NodeID(1000+k), cl)
-	}
-
-	net.Start()
-	net.Run(s.Duration)
-
-	_, _, committed, blocks := col.Counts()
-	_ = committed
+	_, _, _, blocks := col.Counts()
 	res := PointResult{
 		Throughput:       col.Throughput(),
 		ClientThroughput: col.ClientThroughput(),
 		Latency:          col.Latency(),
 		Blocks:           blocks,
-		SpecEvictions:    evictions,
+		SpecEvictions:    b.Evictions,
 	}
 	// Engine diagnostics from node 0.
-	switch e := nodes[0].Engine().(type) {
-	case interface{ Stats() (uint64, uint64) }:
+	if e, ok := b.Nodes[0].Engine().(interface{ Stats() (uint64, uint64) }); ok {
 		_, res.ViewOrTimeouts = e.Stats()
 	}
 	return res, nil
 }
 
-// parRun evaluates fn(0..n-1) over up to `workers` goroutines (see
+// fanOut evaluates fn(0..n-1) over up to o.Workers goroutines (see
 // env.Parallel) and merges the results back in index order, so output
 // is identical to a sequential loop regardless of scheduling. On error
 // it reports the failure with the lowest index, matching what a
-// sequential loop would have surfaced first.
-func parRun[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
+// sequential loop would have surfaced first. With o.Replay set the
+// points run sequentially instead: each folds its deliveries into the
+// one trace, and only a fixed order keeps the digest deterministic.
+func fanOut[T any](o Options, n int, fn func(i int) (T, error)) ([]T, error) {
+	workers := o.workers()
+	if o.Replay != nil {
+		workers = 1
+	}
 	out := make([]T, n)
 	errs := make([]error, n)
 	env.Parallel(n, workers, func(i int) {
@@ -265,35 +123,27 @@ func parRun[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	return out, nil
 }
 
-// RunPoints evaluates independent specs on a worker pool, returning
-// results in spec order. Each point builds its own simnet.Network, so
-// per-point determinism (and replay hashes) are untouched by the
-// wall-clock interleaving.
-func RunPoints(specs []PointSpec, workers int) ([]PointResult, error) {
-	return parRun(len(specs), workers, func(i int) (PointResult, error) {
+// runPoints measures independent deployments through fanOut, returning
+// results in spec order.
+func runPoints(o Options, specs []Deployment) ([]PointResult, error) {
+	return fanOut(o, len(specs), func(i int) (PointResult, error) {
 		return RunPoint(specs[i])
 	})
 }
 
-// LoadSweep runs a spec across offered loads and returns (throughput,
-// latency-ms) pairs — one line of a throughput-latency figure. Points
-// are independent simulations, fanned out over `workers` goroutines and
-// merged back in load order.
-func LoadSweep(base PointSpec, loads []float64, workers int) (*stats.Series, *stats.Series, error) {
-	specs := make([]PointSpec, len(loads))
-	for i, load := range loads {
-		spec := base
-		spec.Offered = load
-		specs[i] = spec
-	}
-	results, err := RunPoints(specs, workers)
-	if err != nil {
-		return nil, nil, err
-	}
+// LoadSweep runs base across offered loads, one point after the other,
+// and returns (throughput, latency-ms) pairs — one line of a
+// throughput-latency figure.
+func LoadSweep(base Deployment, loads []float64) (*stats.Series, *stats.Series, error) {
 	tl := &stats.Series{Name: string(base.System)}
 	lat := &stats.Series{Name: string(base.System)}
-	for i, load := range loads {
-		res := results[i]
+	for _, load := range loads {
+		d := base
+		d.Offered = load
+		res, err := RunPoint(d)
+		if err != nil {
+			return nil, nil, err
+		}
 		ms := float64(res.Latency.Mean) / float64(time.Millisecond)
 		tl.Add(load, res.Throughput)
 		lat.Add(res.Throughput, ms)

@@ -14,11 +14,11 @@ func TestRunPointAllSystems(t *testing.T) {
 	for _, sys := range []System{SysPBFT, SysPPBFT, SysHotStuff, SysPHS, SysNarwhal, SysStratus} {
 		sys := sys
 		t.Run(string(sys), func(t *testing.T) {
-			res, err := RunPoint(PointSpec{
-				System:   sys,
-				NC:       4,
-				Offered:  2000,
-				Duration: 3 * time.Second,
+			res, err := RunPoint(Deployment{
+				System:  sys,
+				NC:      4,
+				Offered: 2000,
+				Stop:    3 * time.Second,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -35,20 +35,19 @@ func TestRunPointAllSystems(t *testing.T) {
 }
 
 func TestRunPointUnknownSystem(t *testing.T) {
-	if _, err := RunPoint(PointSpec{System: "bogus"}); err == nil {
+	if _, err := RunPoint(Deployment{System: "bogus"}); err == nil {
 		t.Fatal("unknown system accepted")
 	}
 }
 
 func TestRunPointWithFaults(t *testing.T) {
-	res, err := RunPoint(PointSpec{
-		System:   SysPPBFT,
-		NC:       8,
-		F:        2,
-		Offered:  3000,
-		Clients:  8,
-		Duration: 3 * time.Second,
-		Faults:   map[wire.NodeID]core.FaultMode{7: core.FaultSilent},
+	res, err := RunPoint(Deployment{
+		System:  SysPPBFT,
+		NC:      8,
+		Offered: 3000,
+		Clients: 8,
+		Stop:    3 * time.Second,
+		Faults:  map[wire.NodeID]core.FaultMode{7: core.FaultSilent},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -59,9 +58,9 @@ func TestRunPointWithFaults(t *testing.T) {
 }
 
 func TestLoadSweepShape(t *testing.T) {
-	tp, lat, err := LoadSweep(PointSpec{
-		System: SysPPBFT, NC: 4, Duration: 2 * time.Second,
-	}, []float64{1000, 3000}, 2)
+	tp, lat, err := LoadSweep(Deployment{
+		System: SysPPBFT, NC: 4, Stop: 2 * time.Second,
+	}, []float64{1000, 3000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,14 +102,14 @@ func TestFig6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulation")
 	}
-	normal, err := RunPoint(PointSpec{
-		System: SysPPBFT, NC: 8, F: 2, Offered: 8000, Clients: 8, Duration: 4 * time.Second,
+	normal, err := RunPoint(Deployment{
+		System: SysPPBFT, NC: 8, Offered: 8000, Clients: 8, Stop: 4 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	silent1, err := RunPoint(PointSpec{
-		System: SysPPBFT, NC: 8, F: 2, Offered: 8000, Clients: 8, Duration: 4 * time.Second,
+	silent1, err := RunPoint(Deployment{
+		System: SysPPBFT, NC: 8, Offered: 8000, Clients: 8, Stop: 4 * time.Second,
 		Faults: map[wire.NodeID]core.FaultMode{7: core.FaultSilent},
 	})
 	if err != nil {

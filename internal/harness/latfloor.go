@@ -12,29 +12,21 @@ import (
 // in-flight PBFT window so ordering never gates on the previous commit;
 // block mode is the classic single-slot protocol every other experiment
 // measures.
-func latfloorSpecs(o Options, wan bool, stream bool, loads []float64, duration time.Duration) []PointSpec {
-	specs := make([]PointSpec, len(loads))
+func latfloorSpecs(o Options, wan bool, stream bool, loads []float64, duration time.Duration) []Deployment {
+	specs := make([]Deployment, len(loads))
 	for i, load := range loads {
-		specs[i] = PointSpec{
-			System:   SysPPBFT,
-			NC:       4,
-			F:        1,
-			WAN:      wan,
-			Offered:  load,
-			Duration: duration,
-			Seed:     o.seed(),
-			Stream:   stream,
-			Compute:  o.Compute,
-			// A moderate production batching interval (Fabric defaults to
-			// hundreds of ms; 50 ms is generous). Block mode's latency
-			// floor includes it — transactions wait for the seal tick —
-			// while streaming seals per transaction and never sees it.
-			// Both modes run the identical configuration.
-			BundleInterval: 50 * time.Millisecond,
-		}
+		d := o.deployment()
+		d.System, d.WAN, d.Offered, d.Stop, d.Stream = SysPPBFT, wan, load, duration, stream
+		// A moderate production batching interval (Fabric defaults to
+		// hundreds of ms; 50 ms is generous). Block mode's latency
+		// floor includes it — transactions wait for the seal tick —
+		// while streaming seals per transaction and never sees it.
+		// Both modes run the identical configuration.
+		d.BundleInterval = 50 * time.Millisecond
 		if stream {
-			specs[i].Pipeline = 16
+			d.Pipeline = 16
 		}
+		specs[i] = d
 	}
 	return specs
 }
@@ -58,26 +50,17 @@ func LatencyFloor(o Options) ([]*stats.Table, error) {
 
 	// Grid order: LAN block, LAN stream, WAN block, WAN stream — each a
 	// row of len(loads) points.
-	grid := [][]PointSpec{
+	grid := [][]Deployment{
 		latfloorSpecs(o, false, false, loads, duration),
 		latfloorSpecs(o, false, true, loads, duration),
 		latfloorSpecs(o, true, false, loads, duration),
 		latfloorSpecs(o, true, true, loads, duration),
 	}
-	flat := make([]PointSpec, 0, 4*len(loads))
+	flat := make([]Deployment, 0, 4*len(loads))
 	for _, row := range grid {
 		flat = append(flat, row...)
 	}
-	workers := o.workers()
-	if o.Replay != nil {
-		// Replay hashes fold every delivery into one running digest, so
-		// the points must run (and attach) in a fixed order: sequential.
-		workers = 1
-		for i := range flat {
-			flat[i].Trace = o.Replay
-		}
-	}
-	results, err := RunPoints(flat, workers)
+	results, err := runPoints(o, flat)
 	if err != nil {
 		return nil, err
 	}

@@ -13,7 +13,7 @@ import (
 // every pipeline stage recorded at least one span — the property the
 // trace-smoke CI target also checks from the CLI side.
 func TestQuickstartAllStagesFire(t *testing.T) {
-	sink := &ObsSink{}
+	sink := &Sink{}
 	tables, err := Quickstart(Options{Quick: true, Seed: 1, Obs: sink})
 	if err != nil {
 		t.Fatalf("quickstart: %v", err)
@@ -60,7 +60,7 @@ func TestQuickstartAllStagesFire(t *testing.T) {
 // produce byte-identical trace and metrics exports.
 func TestQuickstartDeterministic(t *testing.T) {
 	run := func() (string, string, string) {
-		sink := &ObsSink{}
+		sink := &Sink{}
 		if _, err := Quickstart(Options{Quick: true, Seed: 3, Obs: sink}); err != nil {
 			t.Fatalf("quickstart: %v", err)
 		}

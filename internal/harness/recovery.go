@@ -4,57 +4,37 @@ import (
 	"fmt"
 	"time"
 
-	"predis/internal/compute"
 	"predis/internal/core"
-	"predis/internal/crypto"
 	"predis/internal/faults"
-	"predis/internal/multizone"
-	"predis/internal/node"
-	"predis/internal/obs"
-	"predis/internal/simnet"
 	"predis/internal/stats"
-	"predis/internal/types"
 	"predis/internal/wire"
-	"predis/internal/workload"
 )
 
-// recoverySpec describes one crash-recovery measurement over the full
-// Multi-Zone deployment: a P-PBFT consensus group with striped zones of
-// full nodes, a declarative fault schedule crashing either the view-0
-// consensus leader or the zone's first-joining full node (which, by the
-// subscription protocol of §IV-C, claims stripes and relays), and a
-// restart inside the run so catch-up is exercised end to end.
-type recoverySpec struct {
-	nc, f          int
-	zones, perZone int
-	offered        float64
-	duration       time.Duration
-	bucket         time.Duration
-	seed           int64
-	crashFrom      time.Duration
-	crashTo        time.Duration
-	// victimConsensus selects the scenario: true crashes consensus node 0
-	// (the PBFT view-0 leader, forcing a view change and later a replica
-	// catch-up); false crashes the first-joined full node of zone 0 (a
-	// relayer, forcing stripe re-subscription and zone catch-up).
-	victimConsensus bool
-	// actions, when non-nil, replaces the default crash window with a
-	// custom fault schedule (the Byzantine experiment reuses this rig
-	// with adversarial actions instead of a crash).
-	actions []faults.Action
-	// starveRewire arms FullNodeConfig.StarveRewireAfter on every full
-	// node (0 leaves the opt-in withholding detector off).
-	starveRewire int
-	// trace, when non-nil, accumulates the replay hash of every delivery
-	// (see ReplayTrace).
-	trace *ReplayTrace
-	// obsTrace, when non-nil, records block/bundle lifecycle stages so the
-	// experiment can render a per-stage latency breakdown around the
-	// crash window.
-	obsTrace *obs.Tracer
-	// pool, when active, is the intra-point compute pool (replay hashes
-	// are pool-invariant).
-	pool *compute.Pool
+// recoveryBucket is the throughput timeline's resolution.
+const recoveryBucket = 500 * time.Millisecond
+
+// recoveryDeployment is the full Multi-Zone deployment the crash and
+// attack scenarios run on: a P-PBFT consensus group with two striped
+// zones of incrementally joining full nodes, cross-zone backups, and a
+// fault schedule the scenario supplies. stop is the quick-mode run length.
+func recoveryDeployment(o Options, stop time.Duration) Deployment {
+	d := o.deployment()
+	d.System, d.ViewTimeout, d.Exec = SysPPBFT, time.Second, ExecParallel
+	d.Zones, d.FullNodes, d.Alive = 2, 10, 200*time.Millisecond
+	d.Offered, d.Stop = 6000, 16*time.Second
+	if o.Quick {
+		d.FullNodes, d.Offered, d.Stop = 8, 3000, stop
+	}
+	return d
+}
+
+// crashWindow is when the scenarios' crash or attack window opens and
+// closes.
+func crashWindow(o Options) (from, to time.Duration) {
+	if o.Quick {
+		return 4 * time.Second, 6 * time.Second
+	}
+	return 6 * time.Second, 9 * time.Second
 }
 
 // recoveryResult is one run's outcome.
@@ -82,196 +62,99 @@ type recoveryResult struct {
 	// equivocations sums proven leader equivocations across the
 	// consensus group (zero on benign runs).
 	equivocations uint64
+	// sink holds the run's observability artifacts.
+	sink Sink
 }
 
-// runRecovery builds the deployment, installs the fault schedule, runs
-// it, and reports the bucketed throughput plus chain-head positions.
-func runRecovery(spec recoverySpec) (recoveryResult, error) {
-	node.RegisterAllMessages()
-	multizone.RegisterMessages()
-
-	net := simnet.New(simnet.Config{
-		Uplink: simnet.Mbps100, Downlink: simnet.Mbps100,
-		Latency: simnet.LANLatency(), Seed: spec.seed,
-		Compute: spec.pool,
-	})
-
-	if spec.trace != nil {
-		spec.trace.Attach(net)
-	}
-
-	nBuckets := int(spec.duration/spec.bucket) + 1
+// runRecovery runs d under its fault schedule and reports the bucketed
+// throughput plus chain-head positions. consensus selects the scenario:
+// true watches consensus node 0 (the PBFT view-0 leader, forcing a view
+// change and later a replica catch-up); false watches the first-joined
+// full node of zone 0 (a relayer, forcing stripe re-subscription and zone
+// catch-up).
+func runRecovery(d Deployment, consensus bool) (recoveryResult, error) {
+	d = d.withDefaults()
+	nBuckets := int(d.Stop/recoveryBucket) + 1
 	buckets := make([]float64, nBuckets)
-	record := func(at time.Time, txs int) {
-		i := int(at.Sub(simnet.Epoch) / spec.bucket)
-		if i >= 0 && i < nBuckets {
+	record := func(at time.Duration, txs int) {
+		if i := int(at / recoveryBucket); i >= 0 && i < nBuckets {
 			buckets[i] += float64(txs)
 		}
 	}
-
-	suite := crypto.NewSimSuite(spec.nc, uint64(spec.seed)+7)
-	striper, err := multizone.NewStriper(spec.nc, spec.f)
+	// In the leader scenario the bucket recorder is the last consensus
+	// node (which never crashes); in the relayer scenario it is a healthy
+	// full node in the victim's zone, so the timeline shows the zone's
+	// completion rate through heartbeat expiry, relayer re-election, and
+	// catch-up. Per-node last-commit heights feed the leader scenario's
+	// head comparison.
+	victim, observer := wire.NodeID(100), wire.NodeID(101) // zone 0's first two joiners
+	if consensus {
+		victim = 0
+	}
+	lastCommit := make([]uint64, d.NC)
+	d.OnCommit = func(i int, height uint64, txs int, at time.Duration) {
+		lastCommit[i] = max(lastCommit[i], height)
+		if consensus && i == d.NC-1 {
+			record(at, txs)
+		}
+	}
+	d.OnFullBlock = func(id wire.NodeID, blk *core.PredisBlock, txs int, at time.Duration) {
+		if !consensus && id == observer {
+			record(at, txs)
+		}
+	}
+	b, err := Build(d)
 	if err != nil {
 		return recoveryResult{}, err
 	}
+	b.Run(d.Stop)
 
-	// Consensus group. In the leader scenario the bucket recorder is the
-	// last consensus node (which never crashes); in the relayer scenario
-	// it is a healthy full node in the victim's zone, so the timeline
-	// shows the zone's completion rate through heartbeat expiry, relayer
-	// re-election, and catch-up. Per-node last-commit heights feed the
-	// leader scenario's head comparison.
-	lastCommit := make([]uint64, spec.nc)
-	hosts := make([]*multizone.ConsensusHost, 0, spec.nc)
-	for i := 0; i < spec.nc; i++ {
-		i := i
-		host, err := multizone.NewConsensusHost(multizone.HostConfig{
-			NC: spec.nc, F: spec.f, Self: wire.NodeID(i),
-			Signer:         suite.Signer(i),
-			Engine:         node.EnginePBFT,
-			BundleSize:     50,
-			BundleInterval: 20 * time.Millisecond,
-			ViewTimeout:    1 * time.Second,
-			Striper:        striper,
-			ReplyToClients: true,
-			Trace:          spec.obsTrace,
-			OnCommit: func(height uint64, txs int) {
-				if height > lastCommit[i] {
-					lastCommit[i] = height
-				}
-				if spec.victimConsensus && i == spec.nc-1 {
-					record(net.Now(), txs)
-				}
-			},
-		})
-		if err != nil {
-			return recoveryResult{}, err
-		}
-		hosts = append(hosts, host)
-		net.AddNode(wire.NodeID(i), host)
-	}
-
-	// Zones of full nodes joining incrementally, cross-zone backups as in
-	// the Fig. 7 deployment.
-	fullID := func(z, k int) wire.NodeID { return wire.NodeID(100 + z*100 + k) }
-	fulls := make([]*multizone.FullNode, 0, spec.zones*spec.perZone)
-	join := 0
-	for z := 0; z < spec.zones; z++ {
-		for k := 0; k < spec.perZone; k++ {
-			id := fullID(z, k)
-			peers := make([]wire.NodeID, 0, spec.perZone-1)
-			for p := 0; p < spec.perZone; p++ {
-				if p != k {
-					peers = append(peers, fullID(z, p))
-				}
-			}
-			var backups []wire.NodeID
-			if spec.zones > 1 {
-				backups = append(backups, fullID((z+1)%spec.zones, k%spec.perZone))
-			}
-			fcfg := multizone.FullNodeConfig{
-				Self: id, Zone: z, JoinSeq: uint64(join),
-				NC: spec.nc, F: spec.f,
-				Striper:           striper,
-				Signer:            suite.Signer(0),
-				ZonePeers:         peers,
-				BackupPeers:       backups,
-				AliveInterval:     200 * time.Millisecond,
-				DigestInterval:    1 * time.Second,
-				StarveRewireAfter: spec.starveRewire,
-				Trace:             spec.obsTrace,
-			}
-			if !spec.victimConsensus && z == 0 && k == 1 {
-				// Zone-side observer: a healthy peer of the crashed relayer.
-				fcfg.OnBlockComplete = func(blk *core.PredisBlock, txs int) {
-					record(net.Now(), txs)
-				}
-			}
-			fn, err := multizone.NewFullNode(fcfg)
-			if err != nil {
-				return recoveryResult{}, err
-			}
-			fulls = append(fulls, fn)
-			net.AddNode(id, &multizone.Delayed{Inner: fn, Delay: time.Duration(join) * 20 * time.Millisecond})
-			join++
-		}
-	}
-
-	// Fault schedule: one crash window on the chosen victim unless the
-	// caller scripted its own actions (Byzantine scenarios).
-	victim := fullID(0, 0) // first joiner of zone 0: claims stripes, relays
-	if spec.victimConsensus {
-		victim = wire.NodeID(0) // PBFT view-0 leader
-	}
-	actions := spec.actions
-	if actions == nil {
-		actions = []faults.Action{
-			faults.CrashWindow{Node: victim, From: spec.crashFrom, To: spec.crashTo},
-		}
-	}
-	inj := faults.Install(net, faults.Schedule{Seed: spec.seed, Actions: actions})
-
-	// Load.
-	targets := make([]wire.NodeID, spec.nc)
-	for i := range targets {
-		targets[i] = wire.NodeID(i)
-	}
-	joinWindow := time.Duration(spec.zones*spec.perZone)*20*time.Millisecond + 200*time.Millisecond
-	clients := spec.nc
-	for k := 0; k < clients; k++ {
-		net.AddNode(wire.NodeID(5000+k), workload.NewClient(workload.ClientConfig{
-			Self:     wire.NodeID(5000 + k),
-			Targets:  targets,
-			Policy:   workload.RoundRobin,
-			Rate:     spec.offered / float64(clients),
-			TxSize:   types.DefaultTxSize,
-			F:        spec.f,
-			Epoch:    simnet.Epoch,
-			GenStart: simnet.Epoch.Add(joinWindow),
-			GenStop:  simnet.Epoch.Add(spec.duration),
-			Trace:    spec.obsTrace,
-		}))
-	}
-
-	net.Start()
-	net.Run(spec.duration)
-
-	res := recoveryResult{buckets: buckets, trace: inj.TraceString()}
-	for _, fn := range fulls {
+	res := recoveryResult{buckets: buckets, trace: b.Faults.TraceString(), sink: b.Sink}
+	for _, fn := range b.Fulls {
 		rj, rf, q, rw := fn.ByzStats()
 		res.rejected += rj
 		res.refetches += rf
 		res.quarantines += q
 		res.rewires += rw
 	}
-	res.undecodable = net.Dropped().Undecodable
-	for _, h := range hosts {
+	res.undecodable = b.Net.Dropped().Undecodable
+	for _, n := range b.Nodes {
 		// Both engine kinds expose proven-equivocation counts; the
 		// interface stays narrow so node.Engine needs no new method.
-		if eq, ok := h.Node.Engine().(interface{ Equivocations() uint64 }); ok {
+		if eq, ok := n.Engine().(interface{ Equivocations() uint64 }); ok {
 			res.equivocations += eq.Equivocations()
 		}
 	}
-	if spec.victimConsensus {
+	if consensus {
 		res.victimHead = lastCommit[0]
-		for i := 1; i < spec.nc; i++ {
-			if lastCommit[i] > res.liveHead {
-				res.liveHead = lastCommit[i]
-			}
+		for _, h := range lastCommit[1:] {
+			res.liveHead = max(res.liveHead, h)
 		}
-	} else {
-		for _, fn := range fulls {
-			if fn.ID() == victim {
-				res.victimHead = fn.LastHeight()
-				res.catchingUp = fn.CatchingUp()
-				continue
-			}
-			if fn.LastHeight() > res.liveHead {
-				res.liveHead = fn.LastHeight()
-			}
+		return res, nil
+	}
+	for _, fn := range b.Fulls {
+		if fn.ID() == victim {
+			res.victimHead = fn.LastHeight()
+			res.catchingUp = fn.CatchingUp()
+			continue
 		}
+		res.liveHead = max(res.liveHead, fn.LastHeight())
 	}
 	return res, nil
+}
+
+// bucketSeries renders a bucketed commit count as tx/s per bucket end,
+// up to stop.
+func bucketSeries(name string, buckets []float64, stop time.Duration) *stats.Series {
+	ts := &stats.Series{Name: name}
+	for i, v := range buckets {
+		end := time.Duration(i+1) * recoveryBucket
+		if end > stop {
+			break
+		}
+		ts.Add(end.Seconds(), v/recoveryBucket.Seconds())
+	}
+	return ts
 }
 
 // recoveryMetrics reduces a bucketed throughput series to the headline
@@ -324,21 +207,10 @@ func recoveryMetrics(buckets []float64, bucket, warm, crashFrom, crashTo time.Du
 // must catch back up to the live head (small slack for blocks committed
 // in the final instants); a stuck victim is an error, not a data point.
 func Recovery(o Options) ([]*stats.Table, error) {
-	spec := recoverySpec{
-		nc: 4, f: 1, zones: 2, perZone: 5,
-		offered: 6000, duration: 16 * time.Second,
-		bucket:    500 * time.Millisecond,
-		seed:      o.seed(),
-		crashFrom: 6 * time.Second, crashTo: 9 * time.Second,
-		pool: o.Compute,
-	}
-	if o.Quick {
-		spec.perZone = 4
-		spec.offered = 3000
-		spec.duration = 10 * time.Second
-		spec.crashFrom, spec.crashTo = 4*time.Second, 6*time.Second
-	}
-	warm := time.Duration(spec.zones*spec.perZone)*20*time.Millisecond + 700*time.Millisecond
+	crashFrom, crashTo := crashWindow(o)
+	d := recoveryDeployment(o, 10*time.Second)
+	d.Observe = true
+	warm := d.joinWindow() + 500*time.Millisecond
 
 	timeline := &stats.Table{
 		Title:  "Recovery: committed throughput (tx/s) per 500ms bucket around the crash window",
@@ -361,11 +233,14 @@ func Recovery(o Options) ([]*stats.Table, error) {
 	}
 	stageTables := make([]*stats.Table, 0, len(scenarios))
 	for _, sc := range scenarios {
-		s := spec
-		s.victimConsensus = sc.consensus
-		s.trace = o.Replay // scenarios run sequentially: folding both is deterministic
-		s.obsTrace = obs.NewTracer(simnet.Epoch)
-		res, err := runRecovery(s)
+		// Scenarios run sequentially: folding both into one replay trace
+		// is deterministic.
+		victim := wire.NodeID(100) // first joiner of zone 0: claims stripes, relays
+		if sc.consensus {
+			victim = 0 // PBFT view-0 leader
+		}
+		d.Schedule = []faults.Action{faults.CrashWindow{Node: victim, From: crashFrom, To: crashTo}}
+		res, err := runRecovery(d, sc.consensus)
 		if err != nil {
 			return nil, fmt.Errorf("recovery %s: %w", sc.name, err)
 		}
@@ -381,17 +256,9 @@ func Recovery(o Options) ([]*stats.Table, error) {
 		if res.catchingUp {
 			return nil, fmt.Errorf("recovery %s: catch-up still in flight at end of run", sc.name)
 		}
-		ts := &stats.Series{Name: sc.name}
-		for i, v := range res.buckets {
-			end := time.Duration(i+1) * s.bucket
-			if end > s.duration {
-				break
-			}
-			ts.Add(end.Seconds(), v/s.bucket.Seconds())
-		}
-		timeline.Series = append(timeline.Series, ts)
+		timeline.Series = append(timeline.Series, bucketSeries(sc.name, res.buckets, d.Stop))
 
-		baseline, floor, dip, ttr := recoveryMetrics(res.buckets, s.bucket, warm, s.crashFrom, s.crashTo)
+		baseline, floor, dip, ttr := recoveryMetrics(res.buckets, recoveryBucket, warm, crashFrom, crashTo)
 		sum := &stats.Series{Name: sc.name}
 		sum.Add(1, baseline)
 		sum.Add(2, floor)
@@ -413,11 +280,11 @@ func Recovery(o Options) ([]*stats.Table, error) {
 		// Per-stage latency breakdown: dissemination stages absorb the
 		// outage (stripe_distributed/fullnode_delivered tails stretch while
 		// the victim is down) without moving the consensus-side stages.
-		st := s.obsTrace.StageTable()
+		st := res.sink.Trace.StageTable()
 		st.Title = sc.name + " — " + st.Title
 		stageTables = append(stageTables, st)
 		if o.Obs != nil {
-			o.Obs.Trace = s.obsTrace
+			*o.Obs = res.sink
 		}
 	}
 	return append([]*stats.Table{timeline, summary}, stageTables...), nil

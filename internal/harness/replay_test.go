@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"predis/internal/faults"
 )
 
 // TestReplayQuickstartDeterministic runs the quickstart-style experiment
@@ -18,13 +20,13 @@ import (
 func TestReplayQuickstartDeterministic(t *testing.T) {
 	run := func() (string, uint64, string) {
 		tr := NewReplayTrace()
-		res, err := RunPoint(PointSpec{
-			System:   SysPHS,
-			NC:       4,
-			Offered:  1000,
-			Duration: 1500 * time.Millisecond,
-			Seed:     42,
-			Trace:    tr,
+		res, err := RunPoint(Deployment{
+			System:  SysPHS,
+			NC:      4,
+			Offered: 1000,
+			Stop:    1500 * time.Millisecond,
+			Seed:    42,
+			Replay:  tr,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -52,13 +54,13 @@ func TestReplayQuickstartDeterministic(t *testing.T) {
 func replayHashOnce(t *testing.T) (string, uint64) {
 	t.Helper()
 	tr := NewReplayTrace()
-	if _, err := RunPoint(PointSpec{
-		System:   SysPHS,
-		NC:       4,
-		Offered:  1000,
-		Duration: 1500 * time.Millisecond,
-		Seed:     42,
-		Trace:    tr,
+	if _, err := RunPoint(Deployment{
+		System:  SysPHS,
+		NC:      4,
+		Offered: 1000,
+		Stop:    1500 * time.Millisecond,
+		Seed:    42,
+		Replay:  tr,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -119,14 +121,10 @@ func TestReplayCrossProcessDeterministic(t *testing.T) {
 func TestReplayRecoveryDeterministic(t *testing.T) {
 	run := func() (string, uint64, string) {
 		tr := NewReplayTrace()
-		res, err := runRecovery(recoverySpec{
-			nc: 4, f: 1, zones: 2, perZone: 3,
-			offered: 1500, duration: 6 * time.Second,
-			bucket: 500 * time.Millisecond, seed: 7,
-			crashFrom: 2 * time.Second, crashTo: 3500 * time.Millisecond,
-			victimConsensus: false,
-			trace:           tr,
-		})
+		d := recoveryDeployment(Options{Quick: true, Seed: 7, Replay: tr}, 6*time.Second)
+		d.FullNodes, d.Offered = 6, 1500
+		d.Schedule = []faults.Action{faults.CrashWindow{Node: 100, From: 2 * time.Second, To: 3500 * time.Millisecond}}
+		res, err := runRecovery(d, false)
 		if err != nil {
 			t.Fatal(err)
 		}

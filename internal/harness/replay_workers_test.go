@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"predis/internal/compute"
+	"predis/internal/faults"
 )
 
 // replayWorkersOnce runs the canonical replay workload once on a pool of
@@ -20,14 +21,14 @@ func replayWorkersOnce(t *testing.T, workers int) (string, uint64, string) {
 	pool := compute.NewPool(workers)
 	defer pool.Close()
 	tr := NewReplayTrace()
-	res, err := RunPoint(PointSpec{
-		System:   SysPHS,
-		NC:       4,
-		Offered:  1000,
-		Duration: 1500 * time.Millisecond,
-		Seed:     42,
-		Trace:    tr,
-		Compute:  pool,
+	res, err := RunPoint(Deployment{
+		System:  SysPHS,
+		NC:      4,
+		Offered: 1000,
+		Stop:    1500 * time.Millisecond,
+		Seed:    42,
+		Replay:  tr,
+		Compute: pool,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -43,15 +44,10 @@ func replayWorkersRecovery(t *testing.T, workers int) (string, uint64, string) {
 	pool := compute.NewPool(workers)
 	defer pool.Close()
 	tr := NewReplayTrace()
-	res, err := runRecovery(recoverySpec{
-		nc: 4, f: 1, zones: 2, perZone: 3,
-		offered: 1500, duration: 4 * time.Second,
-		bucket: 500 * time.Millisecond, seed: 9,
-		crashFrom: 1500 * time.Millisecond, crashTo: 2500 * time.Millisecond,
-		victimConsensus: false,
-		trace:           tr,
-		pool:            pool,
-	})
+	d := recoveryDeployment(Options{Quick: true, Seed: 9, Replay: tr, Compute: pool}, 4*time.Second)
+	d.FullNodes, d.Offered = 6, 1500
+	d.Schedule = []faults.Action{faults.CrashWindow{Node: 100, From: 1500 * time.Millisecond, To: 2500 * time.Millisecond}}
+	res, err := runRecovery(d, false)
 	if err != nil {
 		t.Fatal(err)
 	}

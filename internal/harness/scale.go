@@ -197,7 +197,7 @@ func Scale(o Options) ([]*stats.Table, error) {
 			jobs = append(jobs, job{n, v})
 		}
 	}
-	results, err := parRun(len(jobs), o.workers(), func(i int) (scaleResult, error) {
+	results, err := fanOut(o, len(jobs), func(i int) (scaleResult, error) {
 		j := jobs[i]
 		return runScalePoint(scaleSpec{
 			n:          j.n,

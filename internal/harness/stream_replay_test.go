@@ -18,15 +18,15 @@ func streamReplayOnce(t *testing.T, workers int) (string, uint64, string) {
 	pool := compute.NewPool(workers)
 	defer pool.Close()
 	tr := NewReplayTrace()
-	res, err := RunPoint(PointSpec{
+	res, err := RunPoint(Deployment{
 		System:   SysPPBFT,
 		NC:       4,
 		Offered:  1200,
-		Duration: 1500 * time.Millisecond,
+		Stop:     1500 * time.Millisecond,
 		Seed:     42,
 		Stream:   true,
 		Pipeline: 16,
-		Trace:    tr,
+		Replay:   tr,
 		Compute:  pool,
 	})
 	if err != nil {
@@ -72,9 +72,9 @@ func TestStreamReplayDeterministic(t *testing.T) {
 // latency-floor comparison would be measuring nothing).
 func TestStreamBlockModesDiverge(t *testing.T) {
 	tr := NewReplayTrace()
-	if _, err := RunPoint(PointSpec{
+	if _, err := RunPoint(Deployment{
 		System: SysPPBFT, NC: 4, Offered: 1200,
-		Duration: 1500 * time.Millisecond, Seed: 42, Trace: tr,
+		Stop: 1500 * time.Millisecond, Seed: 42, Replay: tr,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestStreamQuickstartDeterministic(t *testing.T) {
 	run := func(workers int) (string, string, string) {
 		pool := compute.NewPool(workers)
 		defer pool.Close()
-		sink := &ObsSink{}
+		sink := &Sink{}
 		if _, err := Quickstart(Options{
 			Quick: true, Seed: 3, Stream: true, Obs: sink, Compute: pool,
 		}); err != nil {

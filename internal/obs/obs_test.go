@@ -10,6 +10,7 @@ import (
 
 	"predis/internal/env"
 	"predis/internal/simnet"
+	"predis/internal/stats"
 	"predis/internal/wire"
 )
 
@@ -333,6 +334,59 @@ func TestStageCSV(t *testing.T) {
 	for _, want := range []string{"stage", "count", "p99_ms"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("stage table missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestStagePercentilesMonotone pins exact stage percentiles: on a skewed
+// duration sample every row of the stage table and the CSV satisfies
+// p50 ≤ p90 ≤ p99 ≤ max, and p90 is the nearest-rank value.
+func TestStagePercentilesMonotone(t *testing.T) {
+	tr := NewTracer(epoch)
+	for _, s := range Stages() {
+		for k := 0; k < 1000; k++ {
+			// Mostly short spans with a heavy tail just above p90.
+			d := time.Duration(k%7+1) * time.Millisecond
+			if k%10 == 9 {
+				d = time.Duration(20+k%13) * time.Millisecond
+			}
+			tr.Span(s, uint64(k), 1, at(0), at(d))
+		}
+	}
+	tbl := tr.StageTable()
+	col := func(name string) *stats.Series {
+		for _, s := range tbl.Series {
+			if s.Name == name {
+				return s
+			}
+		}
+		t.Fatalf("stage table has no %s column", name)
+		return nil
+	}
+	p50, p90, p99 := col("p50_ms"), col("p90_ms"), col("p99_ms")
+	for i, pt := range p50.Points {
+		if !(pt.Y <= p90.Points[i].Y && p90.Points[i].Y <= p99.Points[i].Y) {
+			t.Fatalf("stage row %v: p50 %v, p90 %v, p99 %v not monotone",
+				pt.X, pt.Y, p90.Points[i].Y, p99.Points[i].Y)
+		}
+	}
+	if got, want := p90.Points[0].Y, durMS(tr.StageSummary(StageSubmit).P90); got != want {
+		t.Fatalf("submit p90 = %v, want nearest rank %v", got, want)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteStageCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n")[1:] {
+		var name string
+		var count int
+		var mean, q50, q90, q99, max float64
+		if _, err := fmt.Sscanf(strings.ReplaceAll(line, ",", " "), "%s %d %g %g %g %g %g",
+			&name, &count, &mean, &q50, &q90, &q99, &max); err != nil {
+			t.Fatalf("stage CSV row %q: %v", line, err)
+		}
+		if !(q50 <= q90 && q90 <= q99 && q99 <= max) {
+			t.Fatalf("stage CSV row %q: percentiles not monotone", line)
 		}
 	}
 }

@@ -260,17 +260,6 @@ func (t *Tracer) StageSummary(stage Stage) stats.Summary {
 	return stats.Summarize(t.StageDurations(stage))
 }
 
-// stageHistogram folds one stage's closed durations into a streaming
-// histogram; p50/p90 in tables and CSV come from it (≤5% bucket error)
-// while mean/p99/max stay exact via Summarize.
-func (t *Tracer) stageHistogram(stage Stage) *stats.Histogram {
-	h := &stats.Histogram{}
-	for _, d := range t.StageDurations(stage) {
-		h.Observe(d)
-	}
-	return h
-}
-
 // stageSilent reports whether a stage recorded nothing at all — no closed
 // spans and no discards — so mode-dependent stages (spec_distributed only
 // fires in streaming mode) can be dropped from tables and CSV instead of
@@ -297,11 +286,10 @@ func (t *Tracer) WriteStageCSV(w io.Writer) error {
 			continue
 		}
 		s := t.StageSummary(stage)
-		h := t.stageHistogram(stage)
 		if _, err := fmt.Fprintf(w, "%s,%d,%s,%s,%s,%s,%s\n",
 			stage, s.Count,
-			formatFloat(durMS(s.Mean)), formatFloat(durMS(h.Percentile(50))),
-			formatFloat(durMS(h.Percentile(90))), formatFloat(durMS(s.P99)),
+			formatFloat(durMS(s.Mean)), formatFloat(durMS(s.P50)),
+			formatFloat(durMS(s.P90)), formatFloat(durMS(s.P99)),
 			formatFloat(durMS(s.Max))); err != nil {
 			return err
 		}
@@ -314,8 +302,8 @@ func (t *Tracer) WriteStageCSV(w io.Writer) error {
 // column per statistic. Optional stages that recorded nothing — closed
 // spans and discards both zero — are omitted, so block-mode runs never
 // render the streaming-only spec_distributed row; always-on stages keep
-// their zero rows, matching the historical output. Mean and p99 are
-// exact (Summarize); p50/p90 come from the streaming stats.Histogram.
+// their zero rows, matching the historical output. Every percentile is
+// exact: nearest rank over the stage's sorted durations (StageSummary).
 func (t *Tracer) StageTable() *stats.Table {
 	title := "Stage latency breakdown (rows:"
 	tbl := &stats.Table{XLabel: "stage"}
@@ -329,13 +317,12 @@ func (t *Tracer) StageTable() *stats.Table {
 			continue
 		}
 		s := t.StageSummary(stage)
-		h := t.stageHistogram(stage)
 		x := float64(stage) + 1
 		title += fmt.Sprintf(" %d=%s", int(stage)+1, stage)
 		count.Add(x, float64(s.Count))
 		mean.Add(x, durMS(s.Mean))
-		p50.Add(x, durMS(h.Percentile(50)))
-		p90.Add(x, durMS(h.Percentile(90)))
+		p50.Add(x, durMS(s.P50))
+		p90.Add(x, durMS(s.P90))
 		p99.Add(x, durMS(s.P99))
 	}
 	title += ")"
