@@ -1,39 +1,26 @@
 // End-to-end wall-clock benchmarks over whole experiments, complementing
 // the kernel micro-benchmarks in bench_kernels_test.go: the perf
 // trajectory of this repository is tracked at both granularities.
-//
-// Each experiment runs at compute-pool worker counts 0 (inline
-// reference), 1, and 4, so BENCH_e2e.json (emitted by `make bench-e2e`
-// via tools/benchjson) records the compute plane's wall-clock effect
-// alongside the per-op numbers. Results and replay hashes are identical
-// for every worker count — only wall-clock may differ — so the ratio
-// between the workers=0 and workers=4 rows of the same experiment *is*
-// the offload speedup. The "cpus" metric records how much hardware
-// parallelism was available: on a single-CPU host the best possible
-// ratio is parity (the pool cannot beat physics), and the recorded
-// numbers are only meaningful relative to it.
+// BENCH_e2e.json (emitted by `make bench-e2e` via tools/benchjson)
+// records the per-op numbers; the "cpus" metric records how much
+// hardware parallelism was available when they were taken.
 package predis
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
 
-	"predis/internal/compute"
 	"predis/internal/harness"
 )
 
-// benchE2E runs one whole experiment per iteration on a pool with the
-// given worker count.
-func benchE2E(b *testing.B, id string, workers int) {
+// benchE2E runs one whole experiment per iteration.
+func benchE2E(b *testing.B, id string) {
 	b.Helper()
 	e, err := harness.Lookup(id)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool := compute.NewPool(workers)
-	defer pool.Close()
-	opts := harness.Options{Quick: true, Seed: 1, Compute: pool}
+	opts := harness.Options{Quick: true, Seed: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Run(opts); err != nil {
@@ -43,26 +30,11 @@ func benchE2E(b *testing.B, id string, workers int) {
 	b.ReportMetric(float64(runtime.NumCPU()), "cpus")
 }
 
-// e2eWorkerCounts are the pool sizes every end-to-end benchmark sweeps.
-var e2eWorkerCounts = []int{0, 1, 4}
-
 // BenchmarkE2EQuickstartQuick times the full quickstart pipeline
 // (P-PBFT consensus + Multi-Zone distribution) in quick mode.
-func BenchmarkE2EQuickstartQuick(b *testing.B) {
-	for _, w := range e2eWorkerCounts {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			benchE2E(b, "quickstart", w)
-		})
-	}
-}
+func BenchmarkE2EQuickstartQuick(b *testing.B) { benchE2E(b, "quickstart") }
 
 // BenchmarkE2EFig8Quick times the Fig. 8 experiment (Multi-Zone vs
 // star vs random topologies under sweeping full-node counts) in quick
 // mode — the most stripe-/erasure-heavy experiment in the registry.
-func BenchmarkE2EFig8Quick(b *testing.B) {
-	for _, w := range e2eWorkerCounts {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			benchE2E(b, "fig8", w)
-		})
-	}
-}
+func BenchmarkE2EFig8Quick(b *testing.B) { benchE2E(b, "fig8") }

@@ -44,7 +44,6 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"predis/internal/compute"
 	"predis/internal/harness"
 )
 
@@ -57,7 +56,6 @@ type cli struct {
 	quick      bool
 	seed       int64
 	parallel   int
-	workers    int
 	mode       string
 	replay     bool
 	trace      bool
@@ -77,11 +75,10 @@ func parse(argv []string) (cli, []string, error) {
 	fs.BoolVar(&c.quick, "quick", false, "shrink durations and sweeps (~1 minute total)")
 	fs.Int64Var(&c.seed, "seed", 1, "simulation seed")
 	fs.IntVar(&c.parallel, "parallel", 1, "run up to N independent experiment points concurrently (results are identical to -parallel 1)")
-	fs.IntVar(&c.workers, "workers", 0, "offload pure crypto/erasure work inside each point to N pool workers (0 = inline; results and replay hashes are identical for any N)")
 	fs.StringVar(&c.mode, "mode", "block", "commit mode for mode-aware experiments (quickstart): block = classic block-granularity commit, stream = streaming commit (seal→order→distribute→execute pipelined at bundle granularity); latfloor always contrasts both")
 	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&c.memProfile, "memprofile", "", "write a heap profile to this file at exit")
-	fs.BoolVar(&c.replay, "replay", false, "print the delivery replay hash for every experiment but fig8 and scale (their points then run sequentially); identical across -workers/-parallel settings")
+	fs.BoolVar(&c.replay, "replay", false, "print the delivery replay hash for every experiment but fig8 and scale (their points then run sequentially); identical for any -parallel setting")
 	fs.BoolVar(&c.trace, "trace", false, "write Chrome trace-event JSON for supporting experiments")
 	fs.StringVar(&c.traceOut, "trace-out", "", "trace output path (default <id>-trace.json)")
 	fs.BoolVar(&c.metrics, "metrics", false, "write stage/metric/sample CSVs for supporting experiments")
@@ -141,10 +138,8 @@ func run(argv []string) int {
 		fmt.Fprintf(os.Stderr, "predis-bench: -mode must be block or stream, got %q\n", c.mode)
 		return 2
 	}
-	pool := compute.NewPool(c.workers)
-	defer pool.Close()
 	opts := harness.Options{
-		Quick: c.quick, Seed: c.seed, Workers: c.parallel, Compute: pool,
+		Quick: c.quick, Seed: c.seed, Parallel: c.parallel,
 		Stream: c.mode == "stream",
 	}
 
@@ -310,9 +305,6 @@ Flags:
   -parallel N    run up to N experiment points concurrently (wall-clock
                  only; every point owns its own simulation, so results
                  and replay hashes match -parallel 1 exactly)
-  -workers N     offload pure crypto/erasure work inside each point to a
-                 pool of N workers (0 = inline; composes with -parallel;
-                 results and replay hashes are identical for any N)
   -mode M        block (default) or stream. Stream switches mode-aware
                  experiments (quickstart) to streaming commit: bundles
                  seal per transaction, consensus orders bundle-chain
@@ -325,8 +317,7 @@ Flags:
   -metrics-out P CSV path prefix (default <id>)
   -replay        print "replay <id> <sha256> <deliveries>" for every
                  experiment but fig8 and scale (points then run one at a
-                 time); the hash is identical for any -workers/-parallel
-                 setting
+                 time); the hash is identical for any -parallel setting
   -cpuprofile P  write a CPU profile (inspect with go tool pprof)
   -memprofile P  write a heap profile at exit
 `)

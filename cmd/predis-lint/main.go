@@ -1,6 +1,6 @@
 // Command predis-lint runs the repository's custom static-analysis suite
 // — per-function checks (determinism, wiresym, lockorder, errchecklite,
-// encodecache, purecompute) plus the interprocedural analyzers built on
+// encodecache) plus the interprocedural analyzers built on
 // the call-graph engine (detflow, hotalloc, handlercomplete) — which
 // mechanically enforces the simnet determinism contract, the zero-alloc
 // hot-path contract, and the wire-symmetry invariant (see DESIGN.md,

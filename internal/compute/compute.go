@@ -1,64 +1,21 @@
-// Package compute is the deterministic intra-point compute plane: a
-// bounded worker pool offering Future-style offload for *pure,
-// value-identical* functions, plus a fork-join Map for data-parallel
-// kernels.
+// Package compute is an inert compute-pool handle. Every digest, proof,
+// erasure and execution kernel runs inline on the simulator's event
+// loop; nothing here starts a goroutine or runs a task.
 //
-// The simulation core (simnet) executes protocol handlers on one
-// goroutine in virtual time, so every CPU-heavy pure derivation — SHA-256
-// digests, Merkle builds, Reed–Solomon stripe encode/decode, bundle body
-// verification — serializes onto the event loop and burns exactly one
-// core per experiment point. The latency window between a message being
-// *scheduled* on the network and being *delivered* to its receiver is
-// free parallelism: the value the receiver will derive is already fully
-// determined by the immutable message contents. This package exploits
-// that window without touching the determinism contract:
-//
-//   - Offloaded closures must be pure: they read only immutable data
-//     captured at launch time and return a value. They must not touch
-//     simnet, node state, RNGs, clocks, or any lazily-memoized accessor
-//     (Hash()/Digest()/VerifyBody()/... — those write memo fields and
-//     would race with the event loop). The purecompute analyzer
-//     (tools/analyzers/purecompute) enforces this statically.
-//   - Results are forced only at deterministic join points inside the
-//     event loop — the same program points that computed the value
-//     inline before. Forcing blocks the event loop without advancing
-//     virtual time, so same-seed delivery order, terminal output, and
-//     replay trace hashes are byte-identical for any worker count.
-//   - Worker count 0 (a nil *Pool) degrades every offload to a lazy
-//     inline thunk evaluated at the join point: no goroutines, no
-//     channels, bit-for-bit the pre-offload execution. This is the
-//     default under tests and lint.
-//
-// Memo installation happens at Force time on the event-loop goroutine,
-// never from workers; the happens-before edge between a worker's write
-// of the result and the forcer's read is the closed done channel.
+// The package is kept only because the benchmark module (perfbench/)
+// compiles against it: its handler wrapper forwards ComputePool and its
+// tests check that a pool set on simnet.Config reaches a handler through
+// PoolOf. Remove it together with that forwarder.
 package compute
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// Speculative is implemented by wire messages whose CPU-heavy pure
-// derivations can start when the message is scheduled on the network.
-// simnet.Send calls Precompute once per successfully scheduled delivery;
-// implementations must be cheap, idempotent (the same message pointer is
-// multicast to many recipients), and must capture every input by value
-// on the calling goroutine — the offloaded closure may not read mutable
-// or lazily-memoized state.
-type Speculative interface {
-	Precompute(p *Pool)
-}
-
 // PoolProvider is implemented by runtime contexts (simnet's per-node
-// env.Context) that carry a compute pool. Handlers that want fork-join
-// parallelism discover the pool with PoolOf(ctx).
+// env.Context) that carry a pool handle.
 type PoolProvider interface {
 	ComputePool() *Pool
 }
 
-// PoolOf extracts the pool from a context-like value. It returns nil —
-// meaning "run inline" — when the value does not provide one.
+// PoolOf extracts the pool from a context-like value. It returns nil
+// when the value does not provide one.
 func PoolOf(v any) *Pool {
 	if pp, ok := v.(PoolProvider); ok {
 		return pp.ComputePool()
@@ -66,302 +23,18 @@ func PoolOf(v any) *Pool {
 	return nil
 }
 
-// queueFactor bounds the task backlog per worker. When the queue is
-// full, Go degrades to a lazy inline future instead of blocking the
-// event loop: backpressure never stalls the simulation, it only sheds
-// speculation.
-const queueFactor = 64
+// Pool is an opaque handle. A nil *Pool is valid. The blank field
+// gives it a size, so distinct handles are distinct pointers.
+type Pool struct{ _ byte }
 
-// Pool is a bounded worker pool for pure compute. A nil *Pool is valid
-// and means "inline": every method degrades to direct execution. One
-// pool is safely shared by concurrently running experiment points
-// (env.Parallel): tasks from different points interleave freely because
-// pure closures share no state.
-//
-// Two task lanes keep the fork-join path responsive: Map helpers ride
-// the priority lane, speculative offloads the bulk lane. Without the
-// split, a Map issued by the event loop would queue its helpers behind
-// thousands of tiny speculative tasks and the big data-parallel kernels
-// (stripe encode, body verification) would effectively run serially.
-type Pool struct {
-	workers int
-	tasks   chan func() // bulk lane: speculative offloads (Go)
-	prio    chan func() // priority lane: fork-join helpers (Map)
-	wg      sync.WaitGroup
-	closed  atomic.Bool
-
-	offloaded atomic.Uint64 // tasks accepted by workers
-	inlined   atomic.Uint64 // offload attempts degraded to inline (queue full)
-	stolen    atomic.Uint64 // offloaded futures reclaimed inline at Force
-}
-
-// NewPool starts a pool with the given number of workers. workers <= 0
-// returns nil (the inline pool), matching the -workers 0 default.
+// NewPool returns a handle for the given worker count: nil for
+// workers <= 0, non-nil otherwise. It starts nothing.
 func NewPool(workers int) *Pool {
 	if workers <= 0 {
 		return nil
 	}
-	p := &Pool{
-		workers: workers,
-		tasks:   make(chan func(), workers*queueFactor),
-		prio:    make(chan func(), workers*queueFactor),
-	}
-	p.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer p.wg.Done()
-			for {
-				// Drain the priority lane first, then take whichever
-				// lane delivers. Both lanes close together in Close.
-				select {
-				case t, ok := <-p.prio:
-					if !ok {
-						p.drainBulk()
-						return
-					}
-					t()
-					continue
-				default:
-				}
-				select {
-				case t, ok := <-p.prio:
-					if !ok {
-						p.drainBulk()
-						return
-					}
-					t()
-				case t, ok := <-p.tasks:
-					if !ok {
-						p.drainPrio()
-						return
-					}
-					t()
-				}
-			}
-		}()
-	}
-	return p
+	return &Pool{}
 }
 
-// drainBulk runs the remaining bulk tasks after close (futures may still
-// be forced; a claimed-then-dropped task would strand its forcer only if
-// the forcer could not steal it, so draining is belt and braces).
-func (p *Pool) drainBulk() {
-	for t := range p.tasks {
-		t()
-	}
-}
-
-// drainPrio runs the remaining priority tasks after close.
-func (p *Pool) drainPrio() {
-	for t := range p.prio {
-		t()
-	}
-}
-
-// Workers returns the worker count (0 for the nil/inline pool).
-func (p *Pool) Workers() int {
-	if p == nil {
-		return 0
-	}
-	return p.workers
-}
-
-// Active reports whether offloads actually run on workers.
-func (p *Pool) Active() bool { return p != nil && !p.closed.Load() }
-
-// Stats returns how many tasks ran on workers and how many offload
-// attempts degraded to inline execution (queue full or closed pool).
-func (p *Pool) Stats() (offloaded, inlined uint64) {
-	if p == nil {
-		return 0, 0
-	}
-	return p.offloaded.Load(), p.inlined.Load()
-}
-
-// Stolen returns how many offloaded futures were reclaimed inline by
-// Force before a worker started them (speculation that didn't pay).
-func (p *Pool) Stolen() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.stolen.Load()
-}
-
-// Close drains the pool and stops its workers. It must not race with
-// submissions: call it only after every experiment point using the pool
-// has finished. Close is idempotent; a closed pool behaves like nil.
-func (p *Pool) Close() {
-	if p == nil || p.closed.Swap(true) {
-		return
-	}
-	close(p.prio)
-	close(p.tasks)
-	p.wg.Wait()
-}
-
-// submit enqueues a task on the bulk lane without ever blocking. It
-// reports false when the pool is inactive or the queue is full, in which
-// case the caller must arrange inline execution.
-func (p *Pool) submit(t func()) bool {
-	if !p.Active() {
-		return false
-	}
-	select {
-	case p.tasks <- t:
-		p.offloaded.Add(1)
-		return true
-	default:
-		p.inlined.Add(1)
-		return false
-	}
-}
-
-// submitPrio enqueues a task on the priority lane (fork-join helpers).
-func (p *Pool) submitPrio(t func()) bool {
-	if !p.Active() {
-		return false
-	}
-	select {
-	case p.prio <- t:
-		p.offloaded.Add(1)
-		return true
-	default:
-		p.inlined.Add(1)
-		return false
-	}
-}
-
-// Future is the result of an offloaded pure computation. Exactly one of
-// two shapes exists: an offloaded future (done channel; whoever wins the
-// claim stores val then closes done) or a lazy inline future (fn
-// evaluated at the first Force on the forcing goroutine).
-//
-// Offloaded futures are claim-based: the worker and the forcer race a
-// CAS for the right to run fn. If Force wins — the worker had not
-// started when the join point arrived — the forcer runs fn inline
-// ("steals" it) instead of blocking behind everything else in the queue.
-// This bounds a join's wait at one in-flight task rather than the queue
-// depth, which matters because speculative offloads arrive in bursts.
-//
-// Offloaded futures may be forced from any number of goroutines; lazy
-// inline futures must only be forced from one goroutine (the event
-// loop), which is where all join points live.
-type Future[T any] struct {
-	state atomic.Int32 // 0 = unclaimed, 1 = claimed (worker or thief)
-	done  chan struct{}
-	p     *Pool
-	val   T
-	fn    func() T
-}
-
-// Go launches fn on the pool and returns its future. fn must be pure:
-// it may read only immutable values captured at call time and must not
-// call lazily-memoizing accessors. When the pool is nil, closed, or
-// backlogged, the returned future evaluates fn lazily at Force — same
-// value, same observable behavior, zero goroutines.
-func Go[T any](p *Pool, fn func() T) *Future[T] {
-	if !p.Active() {
-		return &Future[T]{fn: fn}
-	}
-	f := &Future[T]{done: make(chan struct{}), p: p, fn: fn}
-	if !p.submit(f.run) {
-		return &Future[T]{fn: fn}
-	}
-	return f
-}
-
-// run is the worker-side half of the claim race.
-func (f *Future[T]) run() {
-	if f.state.CompareAndSwap(0, 1) {
-		f.val = f.fn()
-		close(f.done)
-	}
-	// Lost the claim: a forcer stole the task and runs (or ran) it.
-}
-
-// Resolved returns a future already holding v (used to pre-install
-// known results so join points stay uniform).
-func Resolved[T any](v T) *Future[T] {
-	f := &Future[T]{val: v}
-	return f
-}
-
-// Force returns the computed value. Force is the deterministic join
-// point: it never advances virtual time and never reorders events, it
-// only converts wall-clock wait into the value the inline code would
-// have computed at this exact program point. If the offloaded task has
-// not started yet, Force reclaims it and runs it inline — so a join
-// never waits behind unrelated queued tasks.
-func (f *Future[T]) Force() T {
-	if f.done == nil {
-		if f.fn != nil {
-			f.val = f.fn()
-			f.fn = nil
-		}
-		return f.val
-	}
-	if f.state.CompareAndSwap(0, 1) {
-		// Steal: the worker had not started this task. Run it here.
-		if f.p != nil {
-			f.p.stolen.Add(1)
-		}
-		f.val = f.fn()
-		close(f.done)
-		return f.val
-	}
-	<-f.done
-	return f.val
-}
-
-// Map runs fn(0), …, fn(n-1) as a fork-join: the calling goroutine
-// participates, up to Workers() pool workers help via the priority lane,
-// and Map returns only when every index completed. fn must be pure apart
-// from writes keyed by its own index (e.g. out[i] = …), which makes the
-// result independent of scheduling.
-//
-// The join waits on a completed-index count, not on helper scheduling:
-// helpers that start after the caller exhausted the index space claim
-// nothing and exit, so a backlogged pool costs Map nothing beyond serial
-// execution by the caller.
-//
-// Map must be called from the event loop (or another non-worker
-// goroutine), never from inside an offloaded closure: a worker blocking
-// in Map's join while the in-flight index sits behind other blocked
-// workers would deadlock the pool.
-func (p *Pool) Map(n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if n == 1 || !p.Active() {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next, completed atomic.Int64
-	done := make(chan struct{})
-	work := func() {
-		for {
-			i := next.Add(1) - 1
-			if i >= int64(n) {
-				return
-			}
-			fn(int(i))
-			if completed.Add(1) == int64(n) {
-				close(done)
-			}
-		}
-	}
-	helpers := p.workers
-	if helpers > n-1 {
-		helpers = n - 1
-	}
-	for w := 0; w < helpers; w++ {
-		if !p.submitPrio(work) {
-			break // lane full: the caller still completes everything
-		}
-	}
-	work()
-	<-done
-}
+// Close does nothing; it is safe on a nil pool.
+func (p *Pool) Close() {}

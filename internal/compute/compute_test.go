@@ -1,194 +1,34 @@
 package compute
 
-import (
-	"sync"
-	"testing"
-)
-
-func TestNilPoolIsInline(t *testing.T) {
-	var p *Pool
-	if p.Active() {
-		t.Fatal("nil pool must be inactive")
-	}
-	if p.Workers() != 0 {
-		t.Fatalf("nil pool workers = %d, want 0", p.Workers())
-	}
-	calls := 0
-	f := Go(p, func() int { calls++; return 41 + 1 })
-	if calls != 0 {
-		t.Fatal("inline future must be lazy: fn ran before Force")
-	}
-	if got := f.Force(); got != 42 {
-		t.Fatalf("Force = %d, want 42", got)
-	}
-	if calls != 1 {
-		t.Fatalf("fn ran %d times, want 1", calls)
-	}
-	// Repeated Force memoizes.
-	if got := f.Force(); got != 42 || calls != 1 {
-		t.Fatalf("second Force = %d (calls=%d), want 42 (1)", got, calls)
-	}
-	p.Close() // nil-safe
-	off, inl := p.Stats()
-	if off != 0 || inl != 0 {
-		t.Fatalf("nil pool stats = %d/%d, want 0/0", off, inl)
-	}
-}
+import "testing"
 
 func TestNewPoolZeroWorkersIsNil(t *testing.T) {
 	if p := NewPool(0); p != nil {
-		t.Fatal("NewPool(0) must return the nil inline pool")
+		t.Fatal("NewPool(0) must return the nil pool")
 	}
 	if p := NewPool(-3); p != nil {
-		t.Fatal("NewPool(-3) must return the nil inline pool")
+		t.Fatal("NewPool(-3) must return the nil pool")
 	}
-}
-
-func TestOffloadedFutureValue(t *testing.T) {
 	p := NewPool(2)
-	defer p.Close()
-	futs := make([]*Future[int], 100)
-	for i := range futs {
-		i := i
-		futs[i] = Go(p, func() int { return i * i })
+	if p == nil {
+		t.Fatal("NewPool(2) must return a non-nil handle")
 	}
-	for i, f := range futs {
-		if got := f.Force(); got != i*i {
-			t.Fatalf("fut[%d] = %d, want %d", i, got, i*i)
-		}
-	}
-	off, inl := p.Stats()
-	if off+inl != 100 {
-		t.Fatalf("stats offloaded+inlined = %d, want 100", off+inl)
-	}
-}
-
-func TestForceFromManyGoroutines(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
-	f := Go(p, func() int { return 7 })
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if got := f.Force(); got != 7 {
-				t.Errorf("Force = %d, want 7", got)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-func TestQueueFullDegradesInline(t *testing.T) {
-	p := NewPool(1)
-	defer p.Close()
-	// Stall the single worker so the queue fills.
-	release := make(chan struct{})
-	blocker := Go(p, func() int { <-release; return 0 })
-	// Overfill the queue; excess futures must degrade to inline lazily.
-	n := 1*queueFactor + 16
-	futs := make([]*Future[int], n)
-	for i := range futs {
-		i := i
-		futs[i] = Go(p, func() int { return i })
-	}
-	close(release)
-	blocker.Force()
-	for i, f := range futs {
-		if got := f.Force(); got != i {
-			t.Fatalf("fut[%d] = %d, want %d", i, got, i)
-		}
-	}
-	_, inl := p.Stats()
-	if inl == 0 {
-		t.Fatal("expected at least one inline degradation with a full queue")
-	}
-}
-
-func TestClosedPoolDegradesInline(t *testing.T) {
-	p := NewPool(2)
 	p.Close()
-	p.Close() // idempotent
-	if p.Active() {
-		t.Fatal("closed pool must be inactive")
-	}
-	f := Go(p, func() int { return 5 })
-	if got := f.Force(); got != 5 {
-		t.Fatalf("Force after Close = %d, want 5", got)
-	}
-}
-
-func TestResolved(t *testing.T) {
-	f := Resolved("done")
-	if got := f.Force(); got != "done" {
-		t.Fatalf("Resolved.Force = %q", got)
-	}
-}
-
-func TestMapCoversAllIndices(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 4} {
-		p := NewPool(workers)
-		for _, n := range []int{0, 1, 2, 3, 17, 256} {
-			out := make([]int, n)
-			p.Map(n, func(i int) { out[i] = i + 1 })
-			for i, v := range out {
-				if v != i+1 {
-					t.Fatalf("workers=%d n=%d: out[%d] = %d", workers, n, i, v)
-				}
-			}
-		}
-		p.Close()
-	}
-}
-
-func TestMapDeterministicResult(t *testing.T) {
-	// The same Map computation over an active pool must produce values
-	// identical to the serial loop, regardless of scheduling.
-	p := NewPool(4)
-	defer p.Close()
-	n := 1000
-	serial := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		serial[i] = uint64(i) * 2654435761
-	}
-	for trial := 0; trial < 10; trial++ {
-		par := make([]uint64, n)
-		p.Map(n, func(i int) { par[i] = uint64(i) * 2654435761 })
-		for i := range par {
-			if par[i] != serial[i] {
-				t.Fatalf("trial %d: par[%d] = %d, want %d", trial, i, par[i], serial[i])
-			}
-		}
-	}
-}
-
-func TestPoolOf(t *testing.T) {
-	p := NewPool(1)
-	defer p.Close()
-	if got := PoolOf(struct{}{}); got != nil {
-		t.Fatal("PoolOf of a non-provider must be nil")
-	}
-	if got := PoolOf(provider{p}); got != p {
-		t.Fatal("PoolOf must return the provider's pool")
-	}
+	var nilPool *Pool
+	nilPool.Close() // nil-safe
 }
 
 type provider struct{ p *Pool }
 
-func (pr provider) ComputePool() *Pool { return pr.p }
+func (pp provider) ComputePool() *Pool { return pp.p }
 
-func BenchmarkGoForceInline(b *testing.B) {
-	var p *Pool
-	for i := 0; i < b.N; i++ {
-		Go(p, func() int { return i }).Force()
-	}
-}
-
-func BenchmarkGoForceOffloaded(b *testing.B) {
-	p := NewPool(2)
+func TestPoolOf(t *testing.T) {
+	p := NewPool(1)
 	defer p.Close()
-	for i := 0; i < b.N; i++ {
-		Go(p, func() int { return i }).Force()
+	if got := PoolOf(provider{p}); got != p {
+		t.Fatal("PoolOf did not extract the provided pool")
+	}
+	if got := PoolOf(struct{}{}); got != nil {
+		t.Fatal("PoolOf on a non-provider must be nil")
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"time"
 
-	"predis/internal/compute"
 	"predis/internal/crypto"
 	"predis/internal/merkle"
 	"predis/internal/types"
@@ -167,31 +166,11 @@ func (h *BundleHeader) Hash() crypto.Hash {
 	if h.hashSet {
 		return h.hash
 	}
-	h.hash = h.HashStateless()
-	h.hashSet = true
-	return h.hash
-}
-
-// HashStateless computes the header identity without reading or writing
-// the memo, so it is safe to call from compute-pool workers on a header
-// snapshot taken on the event loop (the unsigned fields are immutable
-// once packed or decoded; only the memo fields mutate lazily).
-func (h *BundleHeader) HashStateless() crypto.Hash {
 	e := wire.NewEncoder(h.EncodedSize())
 	h.encodeUnsigned(e)
-	return crypto.HashBytes(e.Bytes())
-}
-
-// PrimeHash installs a hash computed elsewhere (a compute-pool worker via
-// HashStateless on a snapshot of this header) into the memo. Call it only
-// from the goroutine that owns the header — in the simulator, the event
-// loop at a deterministic join point — and only with the value
-// HashStateless returns; an already-set memo is left untouched.
-func (h *BundleHeader) PrimeHash(hash crypto.Hash) {
-	if !h.hashSet {
-		h.hash = hash
-		h.hashSet = true
-	}
+	h.hash = crypto.HashBytes(e.Bytes())
+	h.hashSet = true
+	return h.hash
 }
 
 // Bundle is a header plus its transaction body.
@@ -210,81 +189,6 @@ type Bundle struct {
 	// same shards; caching them on the shared *Bundle makes the encode run
 	// once network-wide instead of once per distributor.
 	stripeCache any
-	// spec is the speculative verification future launched by Precompute
-	// when the bundle's carrying message is scheduled on the network, and
-	// forced by VerifyBody at delivery. It holds only values (no memo
-	// writes happen off the event loop), so forcing it is value-identical
-	// to the inline computation.
-	spec *compute.Future[bundleSpec]
-}
-
-// bundleSpec is everything VerifyBody needs, computed speculatively from
-// immutable bundle fields by a compute-pool worker.
-type bundleSpec struct {
-	headerHash crypto.Hash
-	txHashes   []crypto.Hash
-	txRoot     crypto.Hash
-	txBytes    uint32
-}
-
-// computeSpec derives the speculative verification values. It must stay a
-// pure function of the snapshot header and the transactions' immutable
-// identity fields: it runs on compute-pool workers concurrently with the
-// event loop touching the same *Transaction memos.
-func computeSpec(hdr BundleHeader, txs []*types.Transaction) bundleSpec {
-	s := bundleSpec{
-		headerHash: hdr.HashStateless(),
-		txHashes:   make([]crypto.Hash, len(txs)),
-	}
-	bytes := 0
-	leaves := make([]crypto.Hash, len(txs))
-	for i, t := range txs {
-		h := t.HashStateless()
-		s.txHashes[i] = h
-		leaves[i] = merkle.HashLeaf(h[:])
-		bytes += t.EncodedSize()
-	}
-	s.txBytes = uint32(bytes)
-	if len(txs) == 0 {
-		s.txRoot = crypto.ZeroHash
-	} else {
-		s.txRoot = merkle.RootOfHashes(leaves)
-	}
-	return s
-}
-
-// Precompute launches the speculative verification of this bundle on the
-// compute pool. The simulator calls it (via compute.Speculative) when the
-// carrying message is scheduled, once per recipient on the shared
-// pointer, so it must be — and is — idempotent. The header snapshot is
-// taken here, on the event loop; the worker closure reads only immutable
-// fields.
-func (b *Bundle) Precompute(p *compute.Pool) {
-	if b.bodyOK || b.spec != nil {
-		return
-	}
-	hdr := b.Header // snapshot on the event loop; memo fields never read by the worker
-	txs := b.Txs
-	b.spec = compute.Go(p, func() bundleSpec { return computeSpec(hdr, txs) })
-}
-
-// joinSpec forces the speculative future (if any), installs the memos it
-// carries — transaction hashes and the header hash — and returns the
-// spec. It must run on the goroutine that owns the bundle's memos (the
-// event loop). Returns false when no future was launched.
-func (b *Bundle) joinSpec() (bundleSpec, bool) {
-	if b.spec == nil {
-		return bundleSpec{}, false
-	}
-	s := b.spec.Force()
-	b.spec = nil // free the future; memos below make it redundant
-	b.Header.PrimeHash(s.headerHash)
-	for i, t := range b.Txs {
-		if i < len(s.txHashes) {
-			t.PrimeHash(s.txHashes[i])
-		}
-	}
-	return s, true
 }
 
 // StripeCache returns the value stored by SetStripeCache (nil if unset).
@@ -326,27 +230,6 @@ func PackBundleStriped(signer crypto.Signer, producer wire.NodeID, parent *Bundl
 	return &Bundle{Header: h, Txs: txs}
 }
 
-// PackBundleStripedPooled is PackBundleStriped with the transaction Merkle
-// root fork-joined over the pool. Byte-identical output for any pool.
-func PackBundleStripedPooled(p *compute.Pool, signer crypto.Signer, producer wire.NodeID,
-	parent *BundleHeader, txs []*types.Transaction, tips TipList, stripeRoot crypto.Hash) *Bundle {
-	h := BundleHeader{
-		Producer:   producer,
-		Height:     1,
-		TxRoot:     TxMerkleRootPooled(p, txs),
-		StripeRoot: stripeRoot,
-		TxCount:    uint32(len(txs)),
-		TxBytes:    uint32(types.TotalBytes(txs)),
-		Tips:       tips.Clone(),
-	}
-	if parent != nil {
-		h.Height = parent.Height + 1
-		h.Parent = parent.Hash()
-	}
-	h.Sig = signer.Sign(h.Hash())
-	return &Bundle{Header: h, Txs: txs}
-}
-
 // TxMerkleRoot computes the Merkle root over transaction hashes.
 func TxMerkleRoot(txs []*types.Transaction) crypto.Hash {
 	if len(txs) == 0 {
@@ -360,83 +243,19 @@ func TxMerkleRoot(txs []*types.Transaction) crypto.Hash {
 	return merkle.RootOfHashes(leaves)
 }
 
-// txChunk is the fork-join granularity for per-transaction hashing: small
-// enough to balance across workers, large enough that the atomic index
-// counter is not the bottleneck.
-const txChunk = 16
-
-// TxMerkleRootPooled is TxMerkleRoot with the per-transaction hashing
-// fork-joined over the pool. Workers fill disjoint slots using the
-// stateless hashers; the caller (which must own the transactions' memos —
-// the event loop) installs the memos afterwards. Value-identical to
-// TxMerkleRoot for any pool, including nil.
-func TxMerkleRootPooled(p *compute.Pool, txs []*types.Transaction) crypto.Hash {
-	if len(txs) == 0 {
-		return crypto.ZeroHash
-	}
-	if !p.Active() || len(txs) <= txChunk {
-		return TxMerkleRoot(txs)
-	}
-	hs := make([]crypto.Hash, len(txs))
-	leaves := make([]crypto.Hash, len(txs))
-	chunks := (len(txs) + txChunk - 1) / txChunk
-	p.Map(chunks, func(c int) {
-		lo := c * txChunk
-		hi := lo + txChunk
-		if hi > len(txs) {
-			hi = len(txs)
-		}
-		for i := lo; i < hi; i++ {
-			h := txs[i].HashStateless()
-			hs[i] = h
-			leaves[i] = merkle.HashLeaf(h[:])
-		}
-	})
-	for i, t := range txs {
-		t.PrimeHash(hs[i])
-	}
-	return merkle.RootOfHashes(leaves)
-}
-
-// VerifyBody checks that the body matches the header's commitments. When a
-// speculative future is pending (Precompute ran at message-schedule time),
-// it is forced here — the deterministic join point — and its values feed
-// the identical checks in the identical order, so error text and outcome
-// match the inline path byte for byte.
+// VerifyBody checks that the body matches the header's commitments, in
+// the canonical order: count, bytes, root.
 func (b *Bundle) VerifyBody() error {
 	if b.bodyOK {
 		return nil
 	}
-	if s, ok := b.joinSpec(); ok {
-		return b.finishVerify(s.txRoot, s.txBytes)
-	}
-	return b.finishVerify(TxMerkleRoot(b.Txs), uint32(types.TotalBytes(b.Txs)))
-}
-
-// VerifyBodyPooled is VerifyBody with the Merkle-root recompute fork-joined
-// over the pool. Use it for freshly decoded bundles (reassembly) where no
-// speculative future could have been launched. Value-identical to
-// VerifyBody for any pool, including nil.
-func (b *Bundle) VerifyBodyPooled(p *compute.Pool) error {
-	if b.bodyOK {
-		return nil
-	}
-	if s, ok := b.joinSpec(); ok {
-		return b.finishVerify(s.txRoot, s.txBytes)
-	}
-	return b.finishVerify(TxMerkleRootPooled(p, b.Txs), uint32(types.TotalBytes(b.Txs)))
-}
-
-// finishVerify runs the three commitment checks in their canonical order
-// (count, bytes, root) with the canonical error texts.
-func (b *Bundle) finishVerify(txRoot crypto.Hash, txBytes uint32) error {
 	if int(b.Header.TxCount) != len(b.Txs) {
 		return fmt.Errorf("core: bundle tx count %d, header says %d", len(b.Txs), b.Header.TxCount)
 	}
-	if txBytes != b.Header.TxBytes {
+	if txBytes := uint32(types.TotalBytes(b.Txs)); txBytes != b.Header.TxBytes {
 		return fmt.Errorf("core: bundle tx bytes %d, header says %d", txBytes, b.Header.TxBytes)
 	}
-	if txRoot != b.Header.TxRoot {
+	if TxMerkleRoot(b.Txs) != b.Header.TxRoot {
 		return fmt.Errorf("core: bundle tx root mismatch")
 	}
 	b.bodyOK = true

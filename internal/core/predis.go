@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"predis/internal/compute"
 	"predis/internal/consensus"
 	"predis/internal/crypto"
 	"predis/internal/env"
@@ -308,8 +307,7 @@ func (p *Predis) produceBundle() {
 	if p.opts.StripeRoot != nil {
 		stripeRoot = p.opts.StripeRoot(txs)
 	}
-	b := PackBundleStripedPooled(compute.PoolOf(p.ctx),
-		p.mp.params.Signer, p.opts.Self, parent, txs, tips, stripeRoot)
+	b := PackBundleStriped(p.mp.params.Signer, p.opts.Self, parent, txs, tips, stripeRoot)
 	// Self-insertion skips signature/body verification.
 	if _, _, _, err := p.mp.AddBundle(b, false); err != nil {
 		p.ctx.Logf("predis: self bundle rejected: %v", err)

@@ -1,42 +1,35 @@
 // Package exec is the deterministic execution plane: an account state
 // machine over the semantic operations carried by types.Transaction
 // (transfer / read-modify-write with declared read and write sets) and a
-// two-phase parallel committer in the Octopus/DAG style.
+// two-phase levelled committer in the Octopus/DAG style.
 //
-// Phase one runs on the event loop and is pure bookkeeping: the block's
-// committed transactions are grouped into dependency levels by
-// read/write-set conflict analysis (RAW, WAR, and WAW conflicts all
-// order transactions into later levels; read-read sharing does not).
-// The construction guarantees two properties inside any single level:
-// no two transactions write the same key, and no transaction reads a
-// key a level-mate writes. Every kernel of a level therefore sees
-// exactly the pre-level state, and the level's write sets are disjoint
-// — so the merge result is independent of execution order and worker
-// count.
+// Phase one is pure bookkeeping: the block's committed transactions are
+// grouped into dependency levels by read/write-set conflict analysis
+// (RAW, WAR, and WAW conflicts all order transactions into later levels;
+// read-read sharing does not). The construction guarantees two
+// properties inside any single level: no two transactions write the same
+// key, and no transaction reads a key a level-mate writes. Every kernel
+// of a level therefore sees exactly the pre-level state, and the level's
+// write sets are disjoint — so the merge result is independent of the
+// order the level's kernels run in.
 //
-// Phase two executes each level's transactions as pure kernels on the
-// compute pool (compute.Pool.Map): each kernel reads an immutable
-// Snapshot and buffers its writes into its own output slot. At the
-// fork-join's deterministic join point — back on the event loop — the
-// buffered writes merge into the block's multi-version state cache
-// (MVCache), versioned by level; the cache flushes into the base state
-// once per block. The resulting state root is byte-identical for any
-// -workers count, including the nil inline pool, and identical to the
-// serial reference committer that applies transactions strictly in
-// commit order.
+// Phase two runs each level's transactions as pure kernels: each kernel
+// reads the pre-level Snapshot and buffers its writes into its own
+// output slot. Once the level is done the buffered writes merge into the
+// block's multi-version state cache (MVCache), versioned by level; the
+// cache flushes into the base state once per block. The resulting state
+// root is identical to the serial reference committer's, which applies
+// transactions strictly in commit order; because kernels read the
+// pre-level state, a leveling error shows up as a root mismatch there.
 //
 // Like every protocol component, a Machine is driven from the single
-// simulator goroutine; only the kernels handed to Pool.Map run
-// elsewhere, and they touch nothing but their Snapshot and their own
-// output slot (enforced statically by the purecompute analyzer, which
-// also rejects MVCache use inside offloaded closures).
+// simulator goroutine.
 package exec
 
 import (
 	"encoding/binary"
 	"sort"
 
-	"predis/internal/compute"
 	"predis/internal/crypto"
 	"predis/internal/types"
 )
@@ -53,11 +46,10 @@ type effect struct {
 	aborted bool
 }
 
-// Snapshot is the read-only state view offloaded kernels execute
+// Snapshot is the read-only state view a level's kernels execute
 // against: the committed base state plus the multi-version cache of all
-// previously merged levels. It is immutable for the duration of a
-// Pool.Map fork-join — merges happen only at event-loop join points —
-// so workers may read it concurrently.
+// previously merged levels. Merges happen only between levels, so it is
+// immutable while a level runs.
 type Snapshot struct {
 	base    map[uint64]uint64
 	cache   map[uint64]uint64
@@ -77,12 +69,10 @@ func (s Snapshot) Get(key uint64) uint64 {
 }
 
 // MVCache is the multi-version state cache of one block's execution:
-// each dependency level's writes merge into it at the level's join
-// point, tagged with the level as their version, and the whole cache
-// flushes into the base state once at block commit. Only the event loop
-// may call its methods; offloaded kernels read through Snapshot (the
-// purecompute analyzer rejects MVCache calls inside closures handed to
-// the pool).
+// each dependency level's writes merge into it once the level is done,
+// tagged with the level as their version, and the whole cache flushes
+// into the base state once at block commit. Kernels read it only
+// through Snapshot.
 type MVCache struct {
 	vals    map[uint64]uint64
 	version map[uint64]int
@@ -97,7 +87,7 @@ func NewMVCache() *MVCache {
 }
 
 // Merge applies one level's buffered writes, recording the level as the
-// written keys' version. Call only at the level's join point.
+// written keys' version. Call only once the level is done.
 func (c *MVCache) Merge(level int, writes []WriteOp) {
 	for _, w := range writes {
 		c.vals[w.Key] = w.Val
@@ -163,8 +153,10 @@ type Machine struct {
 	height  uint64
 	stats   Stats
 
-	// scratch buffers reused across blocks by the leveler.
+	// scratch buffers reused across blocks by the leveler and the level
+	// loop.
 	rbuf, wbuf []uint64
+	effs       []effect
 }
 
 // NewMachine builds a machine whose accounts all start at the genesis
@@ -268,10 +260,9 @@ func (m *Machine) levelize(txs []*types.Transaction, sem []int) [][]int {
 
 // applyOp executes one semantic operation against the snapshot and
 // returns its buffered effect. It is a pure kernel: it reads only snap
-// and the op and writes only its own return value, so the compute pool
-// may run a level's kernels in any order on any worker count. Both
-// committers (parallel and serial) apply ops through this one function,
-// so their per-op semantics cannot drift.
+// and the op and writes only its own return value, so a level's kernels
+// may run in any order. Both committers (levelled and serial) apply ops
+// through this one function, so their per-op semantics cannot drift.
 func applyOp(snap Snapshot, op *types.Op) effect {
 	switch op.Kind {
 	case types.OpTransfer:
@@ -301,19 +292,18 @@ func applyOp(snap Snapshot, op *types.Op) effect {
 	return effect{}
 }
 
-// ExecuteBlock runs the two-phase parallel committer over one committed
-// block: levelize, then execute each level's kernels on the pool (nil
-// pool = inline) and merge their buffered writes through the
-// multi-version cache at the level's join point. The returned state
-// root is byte-identical for any worker count and equal to
+// ExecuteBlock runs the two-phase levelled committer over one committed
+// block: levelize, then execute each level's kernels against the
+// pre-level state and merge their buffered writes through the
+// multi-version cache. The returned state root equals
 // ExecuteBlockSerial's on the same machine state and transaction
 // sequence.
-func (m *Machine) ExecuteBlock(pool *compute.Pool, height uint64, txs []*types.Transaction) Result {
+func (m *Machine) ExecuteBlock(height uint64, txs []*types.Transaction) Result {
 	sem := semantic(txs)
 	levels := m.levelize(txs, sem)
 	cache := NewMVCache()
 	res := Result{Height: height, Txs: len(sem), Levels: len(levels)}
-	m.runLevels(pool, txs, levels, cache, 0, &res)
+	m.runLevels(txs, levels, cache, 0, &res)
 	m.commit(cache, &res)
 	return res
 }
@@ -322,27 +312,26 @@ func (m *Machine) ExecuteBlock(pool *compute.Pool, height uint64, txs []*types.T
 // merged writes with lvlBase+level so callers that execute a block in
 // several leveling units (per-bundle streaming) keep cache versions
 // monotonic across units.
-func (m *Machine) runLevels(pool *compute.Pool, txs []*types.Transaction, levels [][]int,
+func (m *Machine) runLevels(txs []*types.Transaction, levels [][]int,
 	cache *MVCache, lvlBase int, res *Result) {
+	snap := Snapshot{base: m.state, cache: cache.vals, genesis: m.genesis}
 	for lvl, idxs := range levels {
 		if len(idxs) > res.MaxWidth {
 			res.MaxWidth = len(idxs)
 		}
-		snap := Snapshot{base: m.state, cache: cache.vals, genesis: m.genesis}
-		out := make([]effect, len(idxs))
-		pool.Map(len(idxs), func(i int) {
-			out[i] = applyOp(snap, &txs[idxs[i]].Op)
-		})
-		// Join point: the fork-join completed, merge the level in index
-		// order (order is immaterial — write sets are disjoint — but
-		// fixed order keeps the loop boring to reason about).
-		for i := range out {
-			if out[i].aborted {
+		// Every kernel reads the pre-level state: buffer the whole
+		// level's effects before merging any of them.
+		m.effs = m.effs[:0]
+		for _, ti := range idxs {
+			m.effs = append(m.effs, applyOp(snap, &txs[ti].Op))
+		}
+		for _, eff := range m.effs {
+			if eff.aborted {
 				res.Aborted++
 			} else {
 				res.Applied++
 			}
-			cache.Merge(lvlBase+lvl, out[i].writes)
+			cache.Merge(lvlBase+lvl, eff.writes)
 		}
 	}
 }
@@ -354,8 +343,8 @@ func (m *Machine) runLevels(pool *compute.Pool, txs []*types.Transaction, levels
 // need no analysis — a later bundle's snapshot already contains every
 // earlier bundle's merged writes, which serializes bundles exactly as
 // commit order does — so the state root equals ExecuteBlock's over the
-// flattened transaction sequence, for any worker count.
-func (m *Machine) ExecuteBlockBundles(pool *compute.Pool, height uint64, bundles [][]*types.Transaction) Result {
+// flattened transaction sequence.
+func (m *Machine) ExecuteBlockBundles(height uint64, bundles [][]*types.Transaction) Result {
 	cache := NewMVCache()
 	res := Result{Height: height}
 	lvlBase := 0
@@ -364,7 +353,7 @@ func (m *Machine) ExecuteBlockBundles(pool *compute.Pool, height uint64, bundles
 		levels := m.levelize(txs, sem)
 		res.Txs += len(sem)
 		res.Levels += len(levels)
-		m.runLevels(pool, txs, levels, cache, lvlBase, &res)
+		m.runLevels(txs, levels, cache, lvlBase, &res)
 		lvlBase += len(levels)
 	}
 	m.commit(cache, &res)
@@ -373,7 +362,7 @@ func (m *Machine) ExecuteBlockBundles(pool *compute.Pool, height uint64, bundles
 
 // ExecuteBlockSerial is the reference committer: it applies the block's
 // semantic transactions strictly in commit order, one level each. It
-// exists to pin the parallel committer's semantics (identical state
+// exists to pin the levelled committer's semantics (identical state
 // roots) and as the contention experiment's baseline.
 func (m *Machine) ExecuteBlockSerial(height uint64, txs []*types.Transaction) Result {
 	sem := semantic(txs)

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"predis/internal/compute"
 	"predis/internal/crypto"
 	"predis/internal/types"
 	"predis/internal/wire"
@@ -76,7 +75,7 @@ func TestLevelizeConflictChain(t *testing.T) {
 
 func TestExecuteBlockTransferSemantics(t *testing.T) {
 	m := NewMachine(genesis)
-	res := m.ExecuteBlock(nil, 1, []*types.Transaction{
+	res := m.ExecuteBlock(1, []*types.Transaction{
 		transfer(0, 1, 2, 300),
 		transfer(1, 1, 3, 300), // serial predecessor left 700 -> applies
 		transfer(2, 1, 4, 500), // balance now 400 -> deterministic abort
@@ -164,25 +163,25 @@ func foldResults(rs []Result) crypto.Hash {
 	return h
 }
 
-func runBlocks(pool *compute.Pool, serial bool, blocks [][]*types.Transaction) ([]Result, crypto.Hash, *Machine) {
+func runBlocks(serial bool, blocks [][]*types.Transaction) ([]Result, crypto.Hash, *Machine) {
 	m := NewMachine(genesis)
 	var rs []Result
 	for i, blk := range blocks {
 		if serial {
 			rs = append(rs, m.ExecuteBlockSerial(uint64(i+1), blk))
 		} else {
-			rs = append(rs, m.ExecuteBlock(pool, uint64(i+1), blk))
+			rs = append(rs, m.ExecuteBlock(uint64(i+1), blk))
 		}
 	}
 	return rs, m.StateRoot(), m
 }
 
-// TestWorkerInvariance is the determinism pin: the same block sequence
-// executed with the inline pool, one worker, and four workers must
-// produce byte-identical state roots and result counters, on both a
-// high-conflict and a conflict-free schedule — and all must equal the
-// serial reference committer.
-func TestWorkerInvariance(t *testing.T) {
+// TestLevelledMatchesSerial is the determinism pin: the same block
+// sequence executed twice by the levelled committer must produce
+// byte-identical state roots and result counters, on both a
+// high-conflict and a conflict-free schedule — and must equal the serial
+// reference committer.
+func TestLevelledMatchesSerial(t *testing.T) {
 	blocks := [][]*types.Transaction{
 		highConflictBlock(64),
 		uniformBlock(64),
@@ -190,29 +189,26 @@ func TestWorkerInvariance(t *testing.T) {
 		{opaque(0), opaque(1)}, // all-opaque block
 		{},                     // empty block
 	}
-	serialRes, serialRoot, _ := runBlocks(nil, true, blocks)
-	serialFold := foldResults(serialRes)
-
-	for _, workers := range []int{0, 1, 4} {
-		pool := compute.NewPool(workers)
-		rs, root, m := runBlocks(pool, false, blocks)
-		pool.Close()
+	serialRes, serialRoot, _ := runBlocks(true, blocks)
+	var first crypto.Hash
+	for run := 0; run < 2; run++ {
+		rs, root, m := runBlocks(false, blocks)
 		if root != serialRoot {
-			t.Fatalf("workers=%d: state root %s != serial %s", workers, root.Short(), serialRoot.Short())
+			t.Fatalf("run %d: state root %s != serial %s", run, root.Short(), serialRoot.Short())
 		}
 		for i := range rs {
 			if rs[i].StateRoot != serialRes[i].StateRoot ||
 				rs[i].Applied != serialRes[i].Applied ||
 				rs[i].Aborted != serialRes[i].Aborted {
-				t.Fatalf("workers=%d block %d: %+v != serial %+v", workers, i+1, rs[i], serialRes[i])
+				t.Fatalf("run %d block %d: %+v != serial %+v", run, i+1, rs[i], serialRes[i])
 			}
 		}
-		// Parallel runs share one fold too (serial differs only in the
-		// Levels/MaxWidth shape counters, checked separately below).
-		if workers == 0 {
-			serialFold = foldResults(rs)
-		} else if f := foldResults(rs); f != serialFold {
-			t.Fatalf("workers=%d: result fold diverged", workers)
+		// Levelled runs share one fold too (serial differs only in the
+		// Levels/MaxWidth shape counters, checked elsewhere).
+		if f := foldResults(rs); run == 0 {
+			first = f
+		} else if f != first {
+			t.Fatal("levelled result fold diverged between runs")
 		}
 		if m.Stats().Aborted == 0 {
 			t.Fatal("schedule must exercise deterministic aborts")
@@ -223,7 +219,7 @@ func TestWorkerInvariance(t *testing.T) {
 // TestBundleCommitterEquivalence pins the streaming committer: executing
 // a block bundle-by-bundle must yield the same state root and
 // applied/aborted counts as executing the flattened block at once, and as
-// the serial reference, for every worker count.
+// the serial reference.
 func TestBundleCommitterEquivalence(t *testing.T) {
 	bundles := [][]*types.Transaction{
 		highConflictBlock(17),
@@ -239,29 +235,24 @@ func TestBundleCommitterEquivalence(t *testing.T) {
 	ref := NewMachine(genesis)
 	refRes := ref.ExecuteBlockSerial(1, flat)
 
-	for _, workers := range []int{0, 1, 4} {
-		pool := compute.NewPool(workers)
-		whole := NewMachine(genesis)
-		wres := whole.ExecuteBlock(pool, 1, flat)
-		byBundle := NewMachine(genesis)
-		bres := byBundle.ExecuteBlockBundles(pool, 1, bundles)
-		pool.Close()
-		if bres.StateRoot != wres.StateRoot || bres.StateRoot != refRes.StateRoot {
-			t.Fatalf("workers=%d: bundle root %s, block root %s, serial root %s",
-				workers, bres.StateRoot.Short(), wres.StateRoot.Short(), refRes.StateRoot.Short())
-		}
-		if bres.Txs != wres.Txs || bres.Applied != wres.Applied || bres.Aborted != wres.Aborted {
-			t.Fatalf("workers=%d: bundle counters %+v != block %+v", workers, bres, wres)
-		}
-		if byBundle.Height() != 1 {
-			t.Fatalf("workers=%d: Height = %d", workers, byBundle.Height())
-		}
-		// Per-bundle leveling cannot be flatter than whole-block leveling
-		// (it forgoes cross-bundle width), and never exceeds the tx count.
-		if bres.Levels < wres.Levels || bres.Levels > bres.Txs {
-			t.Fatalf("workers=%d: bundle levels %d outside [%d, %d]",
-				workers, bres.Levels, wres.Levels, bres.Txs)
-		}
+	whole := NewMachine(genesis)
+	wres := whole.ExecuteBlock(1, flat)
+	byBundle := NewMachine(genesis)
+	bres := byBundle.ExecuteBlockBundles(1, bundles)
+	if bres.StateRoot != wres.StateRoot || bres.StateRoot != refRes.StateRoot {
+		t.Fatalf("bundle root %s, block root %s, serial root %s",
+			bres.StateRoot.Short(), wres.StateRoot.Short(), refRes.StateRoot.Short())
+	}
+	if bres.Txs != wres.Txs || bres.Applied != wres.Applied || bres.Aborted != wres.Aborted {
+		t.Fatalf("bundle counters %+v != block %+v", bres, wres)
+	}
+	if byBundle.Height() != 1 {
+		t.Fatalf("Height = %d", byBundle.Height())
+	}
+	// Per-bundle leveling cannot be flatter than whole-block leveling
+	// (it forgoes cross-bundle width), and never exceeds the tx count.
+	if bres.Levels < wres.Levels || bres.Levels > bres.Txs {
+		t.Fatalf("bundle levels %d outside [%d, %d]", bres.Levels, wres.Levels, bres.Txs)
 	}
 }
 
@@ -270,12 +261,12 @@ func TestBundleCommitterEquivalence(t *testing.T) {
 // high-conflict one must stay narrow.
 func TestParallelismAvailable(t *testing.T) {
 	m := NewMachine(genesis)
-	res := m.ExecuteBlock(nil, 1, uniformBlock(64))
+	res := m.ExecuteBlock(1, uniformBlock(64))
 	if res.Levels != 1 || res.MaxWidth != 64 {
 		t.Fatalf("conflict-free block: levels=%d maxWidth=%d, want 1/64", res.Levels, res.MaxWidth)
 	}
 	m2 := NewMachine(genesis)
-	res2 := m2.ExecuteBlock(nil, 1, highConflictBlock(64))
+	res2 := m2.ExecuteBlock(1, highConflictBlock(64))
 	if res2.Levels < 10 {
 		t.Fatalf("high-conflict block leveled too flat: levels=%d", res2.Levels)
 	}
@@ -290,13 +281,13 @@ func TestStateRootCommitsToState(t *testing.T) {
 	if a.StateRoot() != b.StateRoot() {
 		t.Fatal("fresh machines must agree")
 	}
-	a.ExecuteBlock(nil, 1, []*types.Transaction{transfer(0, 1, 2, 5)})
+	a.ExecuteBlock(1, []*types.Transaction{transfer(0, 1, 2, 5)})
 	if a.StateRoot() == b.StateRoot() {
 		t.Fatal("root must change when state changes")
 	}
 	b.ExecuteBlockSerial(1, []*types.Transaction{transfer(0, 1, 2, 5)})
 	if a.StateRoot() != b.StateRoot() {
-		t.Fatal("serial and parallel committers diverged on one transfer")
+		t.Fatal("serial and levelled committers diverged on one transfer")
 	}
 	c := NewMachine(genesis + 1)
 	if c.StateRoot() == b.StateRoot() && c.Touched() == 0 {
@@ -306,8 +297,8 @@ func TestStateRootCommitsToState(t *testing.T) {
 
 func TestStatsAccumulate(t *testing.T) {
 	m := NewMachine(genesis)
-	m.ExecuteBlock(nil, 1, uniformBlock(8))
-	m.ExecuteBlock(nil, 2, highConflictBlock(10))
+	m.ExecuteBlock(1, uniformBlock(8))
+	m.ExecuteBlock(2, highConflictBlock(10))
 	s := m.Stats()
 	if s.Blocks != 2 || s.Txs != 18 || s.Applied+s.Aborted != 18 {
 		t.Fatalf("stats = %+v", s)
@@ -322,7 +313,7 @@ func TestStatsAccumulate(t *testing.T) {
 
 func TestRMWDelta(t *testing.T) {
 	m := NewMachine(genesis)
-	m.ExecuteBlock(nil, 1, []*types.Transaction{
+	m.ExecuteBlock(1, []*types.Transaction{
 		rmw(0, nil, []uint64{5}, 10),
 		rmw(1, []uint64{5}, []uint64{5}, 10), // chained: sees 1010
 	})

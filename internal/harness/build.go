@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"predis/internal/compute"
 	"predis/internal/core"
 	"predis/internal/crypto"
 	"predis/internal/env"
@@ -107,9 +106,6 @@ type Deployment struct {
 	Observe bool
 	// Replay, when set, folds every delivery into the trace.
 	Replay *ReplayTrace
-	// Compute offloads pure crypto/erasure work; results are identical
-	// for any pool, including nil.
-	Compute *compute.Pool
 }
 
 // ExecMode selects the consensus nodes' execution plane.
@@ -256,7 +252,7 @@ func Build(d Deployment) (*Built, error) {
 	}
 	net := simnet.New(simnet.Config{
 		Uplink: simnet.Mbps100, Downlink: simnet.Mbps100,
-		Latency: latency, Seed: d.Seed, Compute: d.Compute,
+		Latency: latency, Seed: d.Seed,
 	})
 	b := &Built{Net: net, Sink: Sink{Replay: d.Replay}}
 	if d.Replay != nil {

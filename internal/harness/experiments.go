@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"predis/internal/compute"
 	"predis/internal/stats"
 )
 
@@ -19,24 +18,17 @@ type Options struct {
 	// metrics registry, simnet sampler) from experiments that observe
 	// their deployment (quickstart, recovery); see Sink.
 	Obs *Sink
-	// Workers caps how many independent experiment points run
+	// Parallel caps how many independent experiment points run
 	// concurrently (wall-clock only; each point owns its own
 	// simnet.Network, so per-point results and replay hashes are
 	// unaffected). 0 or 1 means sequential.
-	Workers int
-	// Compute, when active, is the intra-point compute pool: pure
-	// crypto/erasure kernels are offloaded to it and joined only at
-	// deterministic points, so per-point results, terminal output, and
-	// replay hashes are identical for any pool, including nil (fully
-	// inline). It composes with Workers: concurrently running points
-	// share the one pool.
-	Compute *compute.Pool
+	Parallel int
 	// Replay, when non-nil, is attached to the network of every
 	// deployment an experiment builds (all but fig8 and scale, which run
 	// no consensus group): every delivery is folded into the trace so
 	// external callers (predis-bench -replay, tools/replaydiff) can
 	// assert cross-process hash equality. Points then run sequentially
-	// whatever Workers says, since a shared trace folded from concurrent
+	// whatever Parallel says, since a shared trace folded from concurrent
 	// points would depend on their interleaving.
 	Replay *ReplayTrace
 	// Stream switches mode-aware experiments (quickstart) to streaming
@@ -57,17 +49,17 @@ func (o Options) seed() int64 {
 }
 
 // deployment is the base of every deployment an experiment builds: the
-// run's seed, compute pool and replay trace. Experiments with several
+// run's seed and replay trace. Experiments with several
 // points run them through fanOut, which serializes them under Replay.
 func (o Options) deployment() Deployment {
-	return Deployment{Seed: o.seed(), Compute: o.Compute, Replay: o.Replay}
+	return Deployment{Seed: o.seed(), Replay: o.Replay}
 }
 
-func (o Options) workers() int {
-	if o.Workers < 1 {
+func (o Options) parallel() int {
+	if o.Parallel < 1 {
 		return 1
 	}
-	return o.Workers
+	return o.Parallel
 }
 
 // Experiment regenerates one figure.

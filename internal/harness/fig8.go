@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"predis/internal/compute"
 	"predis/internal/core"
 	"predis/internal/crypto"
 	"predis/internal/env"
@@ -57,7 +56,6 @@ type fig8Spec struct {
 	blockMB   int
 	blocks    int
 	seed      int64
-	pool      *compute.Pool
 }
 
 // runFig8Star publishes complete blocks from consensus nodes to attached
@@ -67,7 +65,6 @@ func runFig8Star(spec fig8Spec) (map[float64]time.Duration, error) {
 	net := simnet.New(simnet.Config{
 		Uplink: simnet.Mbps100, Downlink: simnet.Mbps100,
 		Latency: simnet.LANLatency(), Seed: spec.seed,
-		Compute: spec.pool,
 	})
 	arrivals := make(map[uint64][]time.Duration)
 	published := make(map[uint64]time.Time)
@@ -119,7 +116,6 @@ func runFig8Random(spec fig8Spec) (map[float64]time.Duration, error) {
 	net := simnet.New(simnet.Config{
 		Uplink: simnet.Mbps100, Downlink: simnet.Mbps100,
 		Latency: simnet.LANLatency(), Seed: spec.seed,
-		Compute: spec.pool,
 	})
 	total := spec.nc + spec.fullNodes
 	adj := randomAdjacency(total, 8, spec.seed)
@@ -208,7 +204,6 @@ func runFig8MultiZone(spec fig8Spec, zones int) (map[float64]time.Duration, erro
 	net := simnet.New(simnet.Config{
 		Uplink: simnet.Mbps100, Downlink: simnet.Mbps100,
 		Latency: simnet.LANLatency(), Seed: spec.seed,
-		Compute: spec.pool,
 	})
 	suite := crypto.NewSimSuite(spec.nc, uint64(spec.seed)+31)
 
@@ -382,7 +377,7 @@ func Fig8(o Options) ([]*stats.Table, error) {
 	}
 	series, err := fanOut(o, len(jobs), func(i int) (*stats.Series, error) {
 		j := jobs[i]
-		spec := fig8Spec{nc: 8, f: 2, fullNodes: fullNodes, blockMB: j.mb, blocks: blocks, seed: o.seed(), pool: o.Compute}
+		spec := fig8Spec{nc: 8, f: 2, fullNodes: fullNodes, blockMB: j.mb, blocks: blocks, seed: o.seed()}
 		cov, err := j.run(spec)
 		if err != nil {
 			return nil, err

@@ -98,7 +98,7 @@ func RunPoint(d Deployment) (PointResult, error) {
 	return res, nil
 }
 
-// fanOut evaluates fn(0..n-1) over up to o.Workers goroutines (see
+// fanOut evaluates fn(0..n-1) over up to o.Parallel goroutines (see
 // env.Parallel) and merges the results back in index order, so output
 // is identical to a sequential loop regardless of scheduling. On error
 // it reports the failure with the lowest index, matching what a
@@ -106,13 +106,13 @@ func RunPoint(d Deployment) (PointResult, error) {
 // points run sequentially instead: each folds its deliveries into the
 // one trace, and only a fixed order keeps the digest deterministic.
 func fanOut[T any](o Options, n int, fn func(i int) (T, error)) ([]T, error) {
-	workers := o.workers()
+	parallel := o.parallel()
 	if o.Replay != nil {
-		workers = 1
+		parallel = 1
 	}
 	out := make([]T, n)
 	errs := make([]error, n)
-	env.Parallel(n, workers, func(i int) {
+	env.Parallel(n, parallel, func(i int) {
 		out[i], errs[i] = fn(i)
 	})
 	for _, err := range errs {

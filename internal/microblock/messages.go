@@ -20,7 +20,6 @@ package microblock
 import (
 	"sync"
 
-	"predis/internal/compute"
 	"predis/internal/crypto"
 	"predis/internal/types"
 	"predis/internal/wire"
@@ -121,68 +120,16 @@ type Microblock struct {
 
 	digest    crypto.Hash
 	digestSet bool
-	spec      *compute.Future[mbSpec]
 }
-
-// mbSpec is the speculative digest result: the microblock identity plus
-// the per-transaction hashes it was derived from (so the join point can
-// install the transaction memos too).
-type mbSpec struct {
-	digest   crypto.Hash
-	txHashes []crypto.Hash
-}
-
-// computeMBSpec derives the digest from immutable identity fields only
-// (stateless transaction hashing) so it may run on a compute-pool worker.
-func computeMBSpec(producer wire.NodeID, seq uint64, txs []*types.Transaction) mbSpec {
-	s := mbSpec{txHashes: make([]crypto.Hash, len(txs))}
-	e := wire.NewEncoder(12 + 32*len(txs))
-	e.Node(producer)
-	e.U64(seq)
-	for i, t := range txs {
-		h := t.HashStateless()
-		s.txHashes[i] = h
-		e.Bytes32(h)
-	}
-	s.digest = crypto.HashBytes(e.Bytes())
-	return s
-}
-
-// Precompute implements compute.Speculative: the digest starts on the
-// compute pool when the microblock is scheduled on the network, and
-// Digest at delivery forces a (usually finished) future. Idempotent —
-// the simulator fires it once per recipient on the shared pointer.
-func (m *Microblock) Precompute(p *compute.Pool) {
-	if m.digestSet || m.spec != nil {
-		return
-	}
-	producer, seq, txs := m.Producer, m.Seq, m.Txs
-	m.spec = compute.Go(p, func() mbSpec { return computeMBSpec(producer, seq, txs) })
-}
-
-var _ compute.Speculative = (*Microblock)(nil)
 
 // Digest returns the microblock identity (excluding PrevCert and Sig, so
 // acks do not depend on the piggybacked certificate). The digest is
 // memoized: the simulator delivers the same pointer to every recipient,
 // and all identity fields are immutable once the microblock is sent, so
 // re-hashing per recipient (and per retry) would only rebuild the same
-// value. A pending speculative future is joined here — the deterministic
-// join point — and yields the identical value.
+// value.
 func (m *Microblock) Digest() crypto.Hash {
 	if m.digestSet {
-		return m.digest
-	}
-	if m.spec != nil {
-		s := m.spec.Force()
-		m.spec = nil
-		for i, t := range m.Txs {
-			if i < len(s.txHashes) {
-				t.PrimeHash(s.txHashes[i])
-			}
-		}
-		m.digest = s.digest
-		m.digestSet = true
 		return m.digest
 	}
 	e := wire.NewEncoder(12 + 32*len(m.Txs))
@@ -302,7 +249,6 @@ type IDList struct {
 
 	digest    crypto.Hash
 	digestSet bool
-	spec      *compute.Future[crypto.Hash]
 }
 
 var _ wire.Message = (*IDList)(nil)
@@ -338,44 +284,19 @@ func decodeIDList(d *wire.Decoder) (wire.Message, error) {
 	return m, d.Err()
 }
 
-// digestStateless computes the payload identity from the immutable
-// Height/IDs fields without touching the memo (safe on a worker).
-func idListDigest(height uint64, ids []crypto.Hash) crypto.Hash {
-	e := wire.NewEncoder(8 + 32*len(ids))
-	e.U64(height)
-	for _, id := range ids {
-		e.Bytes32(id)
-	}
-	return crypto.HashBytes(e.Bytes())
-}
-
-// Precompute implements compute.Speculative: the digest starts on the
-// pool at message-schedule time and Digest joins it at delivery.
-func (m *IDList) Precompute(p *compute.Pool) {
-	if m.digestSet || m.spec != nil {
-		return
-	}
-	height, ids := m.Height, m.IDs
-	m.spec = compute.Go(p, func() crypto.Hash { return idListDigest(height, ids) })
-}
-
-var _ compute.Speculative = (*IDList)(nil)
-
 // Digest returns the payload identity, memoized for the same reason as
 // Microblock.Digest: the list is immutable once proposed and every
-// replica (per consensus phase) would recompute the identical value. A
-// pending speculative future is joined here and yields the identical
-// value.
+// replica (per consensus phase) would recompute the identical value.
 func (m *IDList) Digest() crypto.Hash {
 	if m.digestSet {
 		return m.digest
 	}
-	if m.spec != nil {
-		m.digest = m.spec.Force()
-		m.spec = nil
-	} else {
-		m.digest = idListDigest(m.Height, m.IDs)
+	e := wire.NewEncoder(8 + 32*len(m.IDs))
+	e.U64(m.Height)
+	for _, id := range m.IDs {
+		e.Bytes32(id)
 	}
+	m.digest = crypto.HashBytes(e.Bytes())
 	m.digestSet = true
 	return m.digest
 }

@@ -4,7 +4,6 @@ import (
 	"sort"
 	"time"
 
-	"predis/internal/compute"
 	"predis/internal/core"
 	"predis/internal/crypto"
 	"predis/internal/env"
@@ -283,7 +282,6 @@ func (f *FullNode) Mempool() *core.Mempool { return f.mp }
 // Algorithm 1.
 func (f *FullNode) Start(ctx env.Context) {
 	f.ctx = ctx
-	f.cfg.Striper.SetPool(compute.PoolOf(ctx))
 	f.bootstrap()
 	f.armAlive()
 	f.armHeartbeat()

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"predis/internal/compute"
 	"predis/internal/core"
 	"predis/internal/crypto"
 	"predis/internal/exec"
@@ -371,7 +370,7 @@ func (f *FullNode) tryCompleteBlocksFrom(sender wire.NodeID) {
 					if f.cfg.ExecSerial {
 						r = f.cfg.Executor.ExecuteBlockSerial(blk.Height, txs)
 					} else {
-						r = f.cfg.Executor.ExecuteBlock(compute.PoolOf(f.ctx), blk.Height, txs)
+						r = f.cfg.Executor.ExecuteBlock(blk.Height, txs)
 					}
 					stateRoot = r.StateRoot
 					now := f.ctx.Now()

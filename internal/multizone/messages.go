@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"sync"
 
-	"predis/internal/compute"
 	"predis/internal/core"
 	"predis/internal/crypto"
 	"predis/internal/merkle"
@@ -52,62 +51,6 @@ type StripeMsg struct {
 	// header's commitments before caching, so the memo is value-identical
 	// for every node that could reassemble it.
 	assembled *core.Bundle
-	// spec is the speculative Merkle-proof verification future launched
-	// when the message is scheduled on the network and joined by
-	// VerifyStripe at delivery. specNC records the stripe count the
-	// speculation assumed (derived from the header's tip list); a striper
-	// configured differently falls back to the inline check.
-	spec   *compute.Future[stripeSpec]
-	specNC int
-}
-
-// stripeSpec is the speculative verification result for one stripe.
-type stripeSpec struct {
-	headerHash crypto.Hash
-	proofOK    bool
-}
-
-// Precompute implements compute.Speculative: it launches the stripe's
-// Merkle-proof check and header hash on the compute pool when the message
-// is scheduled. Fired once per recipient on the shared pointer, so it is
-// idempotent; the snapshot of the header is taken here, on the event
-// loop, and the worker closure reads only immutable fields.
-func (m *StripeMsg) Precompute(p *compute.Pool) {
-	if m.verified || m.spec != nil {
-		return
-	}
-	nc := len(m.Header.Tips) // one tip per bundle chain = per stripe
-	if nc == 0 || int(m.Index) >= nc {
-		return // malformed; let the inline path produce the error
-	}
-	hdr := m.Header // snapshot on the event loop; memos never read by the worker
-	shard, idx, proof := m.Shard, int(m.Index), m.Proof
-	m.specNC = nc
-	m.spec = compute.Go(p, func() stripeSpec {
-		return stripeSpec{
-			headerHash: hdr.HashStateless(),
-			proofOK:    merkle.Verify(hdr.StripeRoot, shard, idx, nc, proof),
-		}
-	})
-}
-
-var _ compute.Speculative = (*StripeMsg)(nil)
-
-// joinSpec forces the speculative future (if any) at the deterministic
-// join point, installs the header-hash memo, and returns (proofOK, true)
-// when the speculation used the striper's stripe count. (false, false)
-// means no usable speculation — verify inline.
-func (m *StripeMsg) joinSpec(nc int) (ok, joined bool) {
-	if m.spec == nil {
-		return false, false
-	}
-	s := m.spec.Force()
-	m.spec = nil
-	m.Header.PrimeHash(s.headerHash)
-	if m.specNC != nc {
-		return false, false
-	}
-	return s.proofOK, true
 }
 
 var _ wire.Message = (*StripeMsg)(nil)

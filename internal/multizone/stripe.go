@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 
-	"predis/internal/compute"
 	"predis/internal/core"
 	"predis/internal/crypto"
 	"predis/internal/erasure"
@@ -25,21 +24,11 @@ import (
 // erasure-coded into data = n_c−f and parity = f shards (any n_c−f of the
 // n_c reconstruct), and the bundle header's StripeRoot commits to all
 // shards so each stripe is independently verifiable with a Merkle proof
-// (§IV-D). A Striper is immutable after SetPool and safe for concurrent
-// use.
+// (§IV-D). A Striper is immutable and safe for concurrent use.
 type Striper struct {
 	coder *erasure.Coder
 	nc, f int
-	// pool, when active, fork-joins the per-shard leaf hashing inside
-	// Encode and the Merkle-root recompute inside Reassemble. Set once at
-	// component start, before any traffic; nil keeps every path inline.
-	pool *compute.Pool
 }
-
-// SetPool installs the compute pool used for fork-join kernels. Call it
-// before the striper sees traffic (component Start); the results are
-// value-identical for any pool, including nil.
-func (s *Striper) SetPool(p *compute.Pool) { s.pool = p }
 
 // NewStriper builds a striper for n_c consensus nodes tolerating f faults.
 func NewStriper(nc, f int) (*Striper, error) {
@@ -82,51 +71,16 @@ type StripeSet struct {
 func (s *Striper) Encode(txs []*types.Transaction) (*StripeSet, error) {
 	body := encodeBody(txs)
 	shards := s.coder.Split(body)
-	tree, err := s.encodeTree(shards)
-	if err != nil {
+	if err := s.coder.Encode(shards); err != nil {
 		return nil, err
 	}
+	tree := merkle.NewTree(shards)
 	return &StripeSet{
 		Shards:     shards,
 		PayloadLen: len(body),
 		Root:       tree.Root(),
 		tree:       tree,
 	}, nil
-}
-
-// encodeTree fills the parity shards and builds the stripe Merkle tree.
-// With an active pool the parity encode and the data-shard leaf hashing
-// fork-join (they touch disjoint shards); the tree it returns is
-// byte-identical to the serial merkle.NewTree(shards) result.
-func (s *Striper) encodeTree(shards [][]byte) (*merkle.Tree, error) {
-	data := s.coder.DataShards()
-	if !s.pool.Active() || data < 2 {
-		if err := s.coder.Encode(shards); err != nil {
-			return nil, err
-		}
-		return merkle.NewTree(shards), nil
-	}
-	leaves := make([]crypto.Hash, len(shards))
-	var encErr error
-	// Task 0 computes every parity shard (writes shards[data:]); tasks
-	// 1..data hash the data shards (read shards[:data], write disjoint
-	// leaf slots). No task touches another's memory.
-	s.pool.Map(1+data, func(i int) {
-		if i == 0 {
-			encErr = s.coder.Encode(shards)
-			return
-		}
-		leaves[i-1] = merkle.HashLeaf(shards[i-1])
-	})
-	if encErr != nil {
-		return nil, encErr
-	}
-	// Parity leaves need the encoded parity; hash them after the join
-	// (f is small — 1 at the paper's scale).
-	for i := data; i < len(shards); i++ {
-		leaves[i] = merkle.HashLeaf(shards[i])
-	}
-	return merkle.NewTreeFromHashes(leaves), nil
 }
 
 // Stripe extracts stripe i as a wire message for the given bundle header.
@@ -157,9 +111,7 @@ var (
 // VerifyStripe checks a stripe against its header's StripeRoot. Success
 // is memoized on the message: the simulator delivers one *StripeMsg to
 // every recipient, so the Merkle proof is checked once per stripe rather
-// than once per full node. When the message carries a speculative future
-// (Precompute ran at schedule time), the proof result is joined here
-// instead of recomputed — the check itself and its outcome are identical.
+// than once per full node.
 func (s *Striper) VerifyStripe(m *StripeMsg) error {
 	if m.verified {
 		return nil
@@ -167,11 +119,7 @@ func (s *Striper) VerifyStripe(m *StripeMsg) error {
 	if int(m.Index) >= s.nc {
 		return fmt.Errorf("%w: index %d of %d", ErrStripeProof, m.Index, s.nc)
 	}
-	ok, joined := m.joinSpec(s.nc)
-	if !joined {
-		ok = merkle.Verify(m.Header.StripeRoot, m.Shard, int(m.Index), s.nc, m.Proof)
-	}
-	if !ok {
+	if !merkle.Verify(m.Header.StripeRoot, m.Shard, int(m.Index), s.nc, m.Proof) {
 		return ErrStripeProof
 	}
 	m.verified = true
@@ -224,7 +172,7 @@ func (s *Striper) Reassemble(header core.BundleHeader, stripes []*StripeMsg) (*c
 		return nil, fmt.Errorf("%w: %v", ErrStripeBundle, err)
 	}
 	b := &core.Bundle{Header: header, Txs: txs}
-	if err := b.VerifyBodyPooled(s.pool); err != nil {
+	if err := b.VerifyBody(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrStripeBundle, err)
 	}
 	for _, st := range stripes {

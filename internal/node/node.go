@@ -9,7 +9,6 @@ import (
 	"sort"
 	"time"
 
-	"predis/internal/compute"
 	"predis/internal/consensus"
 	"predis/internal/core"
 	"predis/internal/crypto"
@@ -384,9 +383,9 @@ func (n *Node) execCommit(height uint64, txs []*types.Transaction, bundles [][]*
 		case n.cfg.ExecSerial:
 			r = n.cfg.Executor.ExecuteBlockSerial(height, txs)
 		case bundles != nil:
-			r = n.cfg.Executor.ExecuteBlockBundles(compute.PoolOf(n.ctx), height, bundles)
+			r = n.cfg.Executor.ExecuteBlockBundles(height, bundles)
 		default:
-			r = n.cfg.Executor.ExecuteBlock(compute.PoolOf(n.ctx), height, txs)
+			r = n.cfg.Executor.ExecuteBlock(height, txs)
 		}
 		if n.cfg.Trace != nil && n.ctx != nil {
 			now := n.ctx.Now()

@@ -91,15 +91,10 @@ type Config struct {
 	// Slower, but catches codec bugs and accidental aliasing between
 	// sender and receiver state; tests enable it.
 	CopyOnDeliver bool
-	// Compute, when non-nil, is the intra-point compute plane: messages
-	// implementing compute.Speculative get Precompute called right after
-	// Send schedules their delivery, so pure derivations (digests, proof
-	// checks, body verification) overlap with simulated transfer time.
-	// Results are forced only at the deterministic join points the
-	// handlers already use, so delivery order, terminal output, and
-	// replay hashes are byte-identical for any worker count (nil = all
-	// inline, the default). Handlers reach the pool through
-	// compute.PoolOf(ctx).
+	// Compute is an inert handle that handlers can read back through
+	// compute.PoolOf(ctx). Nothing in the simulator uses it; it is kept
+	// only because the benchmark module (perfbench/) sets it and checks
+	// that its handler wrapper forwards it.
 	Compute *compute.Pool
 	// LogWriter receives Logf output when non-nil.
 	LogWriter io.Writer
@@ -602,9 +597,9 @@ func (s *simNode) Rand() *rand.Rand {
 	return s.rng
 }
 
-// ComputePool implements compute.PoolProvider: handlers use
-// compute.PoolOf(ctx) to fork-join pure kernels (Merkle builds, stripe
-// encode/decode) without the context interface growing a method.
+// ComputePool implements compute.PoolProvider, returning Config.Compute.
+// Kept only for the benchmark module (perfbench/), whose handler wrapper
+// forwards it.
 func (s *simNode) ComputePool() *compute.Pool { return s.net.cfg.Compute }
 
 // Logf implements env.Context.
@@ -689,18 +684,6 @@ func (s *simNode) Send(to wire.NodeID, m wire.Message) {
 	ev.msg = m
 	ev.src = s
 	ev.dst = dst
-
-	// Speculative compute offload: the value the receiver will derive
-	// from this immutable message is already fully determined, and the
-	// virtual-time window until deliverAt is free wall-clock
-	// parallelism. Precompute is idempotent (multicast re-sends the
-	// same pointer) and touches no simulator state, so scheduling is
-	// unaffected.
-	if net.cfg.Compute.Active() {
-		if sp, ok := m.(compute.Speculative); ok {
-			sp.Precompute(net.cfg.Compute)
-		}
-	}
 }
 
 // After implements env.Context. The crash guard lives in evTimer

@@ -60,31 +60,23 @@ func NewTransaction(client wire.NodeID, seq uint64, size uint32, submitted time.
 }
 
 // Hash returns the transaction identity, computed lazily and cached. It
-// covers the real fields only (padding is deterministic).
+// covers the real fields only (padding is deterministic) and includes the
+// op: two transactions differing only in their semantic effect must not
+// collide.
 func (t *Transaction) Hash() crypto.Hash {
 	if !t.hashSet {
-		t.hash = t.HashStateless()
+		var arr [txFixedLen + maxOpPayload]byte
+		b := arr[:0]
+		b = binary.BigEndian.AppendUint32(b, uint32(t.Client))
+		b = binary.BigEndian.AppendUint64(b, t.Seq)
+		b = binary.BigEndian.AppendUint32(b, t.Size)
+		b = binary.BigEndian.AppendUint64(b, uint64(t.Submitted))
+		b = append(b, byte(t.Op.Kind))
+		b = t.Op.appendPayload(b)
+		t.hash = crypto.HashBytes(b)
 		t.hashSet = true
 	}
 	return t.hash
-}
-
-// HashStateless computes the transaction identity without reading or
-// writing the memo, so it is safe to call from compute-pool workers
-// while the event loop concurrently memoizes Hash() on the same
-// transaction (the memo fields are disjoint from the identity fields).
-// The identity covers the op: two transactions differing only in their
-// semantic effect must not collide.
-func (t *Transaction) HashStateless() crypto.Hash {
-	var arr [txFixedLen + maxOpPayload]byte
-	b := arr[:0]
-	b = binary.BigEndian.AppendUint32(b, uint32(t.Client))
-	b = binary.BigEndian.AppendUint64(b, t.Seq)
-	b = binary.BigEndian.AppendUint32(b, t.Size)
-	b = binary.BigEndian.AppendUint64(b, uint64(t.Submitted))
-	b = append(b, byte(t.Op.Kind))
-	b = t.Op.appendPayload(b)
-	return crypto.HashBytes(b)
 }
 
 // WithOp attaches a semantic operation, growing Size when the op payload
@@ -96,18 +88,6 @@ func (t *Transaction) WithOp(op Op) *Transaction {
 		t.Size = uint32(min)
 	}
 	return t
-}
-
-// PrimeHash installs a hash computed elsewhere (a compute-pool worker
-// via HashStateless) into the memo. Call it only from the goroutine
-// that owns the transaction's memo — in the simulator, the event loop
-// at a deterministic join point — and only with the value
-// HashStateless returns; an already-set memo is left untouched.
-func (t *Transaction) PrimeHash(h crypto.Hash) {
-	if !t.hashSet {
-		t.hash = h
-		t.hashSet = true
-	}
 }
 
 // EncodedSize returns the wire size of the transaction body (no frame).

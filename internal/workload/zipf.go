@@ -11,8 +11,8 @@ import (
 // generator for the execution plane (internal/exec). Account popularity
 // follows a Zipf distribution with exponent Theta over Accounts keys;
 // Theta 0 degrades to uniform. The generator is a pure function of
-// (Seed, client, seq), so two runs — and two worker counts — draw
-// byte-identical operation streams.
+// (Seed, client, seq), so two runs draw byte-identical operation
+// streams.
 type ZipfConfig struct {
 	// Accounts is the key-space size (accounts 0..Accounts-1).
 	Accounts int
