@@ -9,9 +9,12 @@ package predis_test
 // list. BenchmarkScaleFlow1k/10k drive the same offered load through one
 // aggregated Poisson flow per thousands of logical clients and a shared
 // child-index multicast tree. The allocs/op ratio between the two 1k rows
-// is the headline tracked in BENCH_scale.json (make bench-scale).
+// is the headline tracked in BENCH_scale.json (make bench-scale); the
+// "cpus" metric records the hardware parallelism available when the rows
+// were taken.
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -109,6 +112,7 @@ func BenchmarkScaleNaive1k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		runScaleNaive(b, 1000, 1000)
 	}
+	b.ReportMetric(float64(runtime.NumCPU()), "cpus")
 }
 
 // runScaleFlow simulates the same offered load the aggregated way: one
@@ -136,17 +140,14 @@ func runScaleFlow(b *testing.B, nodes, clients int) {
 
 	end := simnet.Epoch.Add(time.Second)
 	net.AddNode(wire.NodeID(1<<20), workload.NewFlow(workload.FlowConfig{
-		Self:        wire.NodeID(1 << 20),
-		FirstClient: wire.NodeID(1<<20 + 1),
-		Clients:     clients,
-		Targets:     order[:1],
-		Policy:      workload.FirstOnly,
-		Rate:        2 * float64(clients), // same aggregate 2 tx/s per logical client
-		TxSize:      types.DefaultTxSize,
-		Epoch:       simnet.Epoch,
-		GenStart:    simnet.Epoch,
-		GenStop:     end,
-		Seed:        1,
+		Self:     wire.NodeID(1 << 20),
+		Target:   order[0],
+		Rate:     2 * float64(clients), // same aggregate 2 tx/s per logical client
+		TxSize:   types.DefaultTxSize,
+		Epoch:    simnet.Epoch,
+		GenStart: simnet.Epoch,
+		GenStop:  end,
+		Seed:     1,
 	}))
 	net.Start()
 	for blk := 1; blk <= 4; blk++ {
@@ -181,6 +182,7 @@ func BenchmarkScaleFlow1k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		runScaleFlow(b, 1000, 1000)
 	}
+	b.ReportMetric(float64(runtime.NumCPU()), "cpus")
 }
 
 func BenchmarkScaleFlow10k(b *testing.B) {
@@ -188,4 +190,5 @@ func BenchmarkScaleFlow10k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		runScaleFlow(b, 10000, 10000)
 	}
+	b.ReportMetric(float64(runtime.NumCPU()), "cpus")
 }

@@ -31,19 +31,6 @@ var ZeroHash Hash
 // HashBytes returns the SHA-256 digest of b.
 func HashBytes(b []byte) Hash { return sha256.Sum256(b) }
 
-// HashBatch digests every input into dst (dst[i] = SHA-256(srcs[i])) and
-// returns dst, allocating it when nil: one call per stripe set or
-// transaction list instead of one call per element.
-func HashBatch(dst []Hash, srcs [][]byte) []Hash {
-	if dst == nil {
-		dst = make([]Hash, len(srcs))
-	}
-	for i, s := range srcs {
-		dst[i] = sha256.Sum256(s)
-	}
-	return dst
-}
-
 // HashConcat returns the SHA-256 digest of the concatenation of the parts
 // without heap-materializing the concatenation. Short inputs — the
 // Merkle leaf/node combiners that dominate the simulator's hashing

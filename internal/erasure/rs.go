@@ -81,31 +81,6 @@ func (c *Coder) Encode(shards [][]byte) error {
 	return nil
 }
 
-// EncodeBatch encodes many shard sets with a single walk of the
-// encoding matrix: the parity-row loop is hoisted outside the batch
-// loop, so each row's coefficient vector is resolved once per batch
-// rather than once per set, and the row kernels run back to back over
-// contiguous shard memory. Every set must satisfy Encode's contract;
-// the result is byte-identical to calling Encode on each set.
-func (c *Coder) EncodeBatch(batch [][][]byte) error {
-	for _, shards := range batch {
-		if err := c.checkShards(shards, true); err != nil {
-			return err
-		}
-	}
-	for p := 0; p < c.parity; p++ {
-		row := c.enc.row(c.data + p)
-		for _, shards := range batch {
-			out := shards[c.data+p]
-			mulSet(out, shards[0], row[0])
-			for d := 1; d < c.data; d++ {
-				mulAndAdd(out, shards[d], row[d])
-			}
-		}
-	}
-	return nil
-}
-
 // Reconstruct fills in nil shards in place. At least `data` shards must be
 // present. Present shards are never modified.
 func (c *Coder) Reconstruct(shards [][]byte) error {

@@ -73,8 +73,6 @@ func runFig8Star(spec fig8Spec) (map[float64]time.Duration, error) {
 	for i := 0; i < spec.fullNodes; i++ {
 		id := wire.NodeID(100 + i)
 		attached[i%spec.nc] = append(attached[i%spec.nc], id)
-		h := uint64(0)
-		_ = h
 		net.AddNode(id, topology.NewSink(func(height uint64, at time.Time) {
 			arrivals[height] = append(arrivals[height], at.Sub(published[height]))
 		}))

@@ -126,17 +126,14 @@ func runScalePoint(spec scaleSpec) (scaleResult, error) {
 			clients = clientsPerFlow
 		}
 		net.AddNode(wire.NodeID(scaleFlowBase+i), workload.NewFlow(workload.FlowConfig{
-			Self:        wire.NodeID(scaleFlowBase + i),
-			FirstClient: wire.NodeID(scaleFlowBase + first),
-			Clients:     clients,
-			Targets:     order[:1],
-			Policy:      workload.FirstOnly,
-			Rate:        spec.clientRate * float64(clients),
-			TxSize:      types.DefaultTxSize,
-			Epoch:       simnet.Epoch,
-			GenStart:    simnet.Epoch,
-			GenStop:     genStop,
-			Seed:        uint64(spec.seed)*0x9e3779b97f4a7c15 + uint64(i),
+			Self:     wire.NodeID(scaleFlowBase + i),
+			Target:   order[0],
+			Rate:     spec.clientRate * float64(clients),
+			TxSize:   types.DefaultTxSize,
+			Epoch:    simnet.Epoch,
+			GenStart: simnet.Epoch,
+			GenStop:  genStop,
+			Seed:     uint64(spec.seed)*0x9e3779b97f4a7c15 + uint64(i),
 		}))
 	}
 	net.Start()

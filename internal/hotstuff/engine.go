@@ -27,22 +27,20 @@ type Config struct {
 	// ViewTimeout is the base pacemaker timeout; it doubles per
 	// consecutive timeout. Default 2s.
 	ViewTimeout time.Duration
-	// ReproposeInterval is how often an idle leader re-asks the app for a
-	// proposal. Default 10ms.
-	ReproposeInterval time.Duration
 	// Trace, when non-nil, records the block_proposed (proposal learned →
 	// QC formed) and prepare_commit (QC → execution) lifecycle stages on
 	// this replica's timeline. Nil disables tracing.
 	Trace *obs.Tracer
 }
 
+// reproposeInterval is how often an idle leader re-asks the app for a
+// proposal.
+const reproposeInterval = 10 * time.Millisecond
+
 func (c *Config) withDefaults() Config {
 	out := *c
 	if out.ViewTimeout <= 0 {
 		out.ViewTimeout = 2 * time.Second
-	}
-	if out.ReproposeInterval <= 0 {
-		out.ReproposeInterval = 10 * time.Millisecond
 	}
 	return out
 }
@@ -194,7 +192,7 @@ func (e *Engine) hasPendingWork() bool {
 }
 
 func (e *Engine) armRepropose() {
-	e.repropose = e.ctx.After(e.cfg.ReproposeInterval, func() {
+	e.repropose = e.ctx.After(reproposeInterval, func() {
 		e.tryPropose()
 		e.armRepropose()
 	})

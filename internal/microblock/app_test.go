@@ -29,12 +29,8 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{Scheme: SchemeNarwhal, NC: 4, MBSize: 50}); err == nil {
 		t.Fatal("nil signer accepted")
 	}
-	a, err := New(Options{Scheme: SchemeStratus, NC: 4, F: 1, Signer: s, MBSize: 50})
-	if err != nil {
+	if _, err := New(Options{Scheme: SchemeStratus, NC: 4, F: 1, Signer: s, MBSize: 50}); err != nil {
 		t.Fatal(err)
-	}
-	if a.opts.MaxIDs != DefaultMaxIDs {
-		t.Fatalf("MaxIDs default = %d", a.opts.MaxIDs)
 	}
 }
 

@@ -51,16 +51,13 @@ func (f *FullNode) isQuarantined(id wire.NodeID) bool {
 // proofs and bad signatures are ever charged — never gaps, timeouts, or
 // losses — so an honest-but-unlucky peer cannot cross the threshold.
 func (f *FullNode) recordOffense(from wire.NodeID) {
-	if f.cfg.QuarantineAfter < 0 {
-		return
-	}
 	f.offenses[from]++
-	if f.offenses[from] >= f.cfg.QuarantineAfter {
+	if f.offenses[from] >= quarantineAfter {
 		f.quarantine(from)
 	}
 }
 
-// quarantine blacklists a peer for QuarantineTTL and severs every role it
+// quarantine blacklists a peer for quarantineTTL and severs every role it
 // plays in this node's topology: stripe sender, subscriber, pending
 // subscription target, and relayer-table entry (tombstoned, so a
 // post-expiry honest announcement still versions monotonically).
@@ -68,7 +65,7 @@ func (f *FullNode) recordOffense(from wire.NodeID) {
 func (f *FullNode) quarantine(id wire.NodeID) {
 	f.quarantines++
 	delete(f.offenses, id)
-	f.quarantined[id] = f.ctx.Now().Add(f.cfg.QuarantineTTL)
+	f.quarantined[id] = f.ctx.Now().Add(f.quarantineTTL)
 	for s, sd := range f.stripeSender {
 		if sd == id {
 			delete(f.stripeSender, s)
@@ -94,7 +91,7 @@ func (f *FullNode) quarantine(id wire.NodeID) {
 		info.stripes = nil // tombstone: no longer a candidate, version preserved
 	}
 	f.ctx.Logf("multizone: node %d quarantined %d for %v",
-		f.cfg.Self, id, f.cfg.QuarantineTTL)
+		f.cfg.Self, id, f.quarantineTTL)
 	f.runSubscription()
 }
 
@@ -142,7 +139,7 @@ func (f *FullNode) fireRefetch(hdr core.BundleHeader, h crypto.Hash, offender wi
 		Producer: hdr.Producer, From: hdr.Height, To: hdr.Height,
 	})
 	f.refetches++
-	delay := f.cfg.Retry.Delay(attempt, f.ctx.Rand())
+	delay := f.retry.Delay(attempt, f.ctx.Rand())
 	f.ctx.After(delay, func() {
 		f.fireRefetch(hdr, h, offender, attempt+1)
 	})

@@ -43,16 +43,15 @@ type FullNodeConfig struct {
 	// uses 24 to equalize bandwidth with the random topology).
 	MaxSubscribers int
 	// AliveInterval paces relayerAlive broadcasts and relayer-count
-	// checks; HeartbeatInterval paces liveness probes.
-	AliveInterval     time.Duration
-	HeartbeatInterval time.Duration
+	// checks. It also sets the bundle-pull and catch-up backoff
+	// (env.DefaultBackoff(AliveInterval)) and the quarantine TTL
+	// (8×AliveInterval).
+	AliveInterval time.Duration
 	// DigestInterval paces backup-connection digests (0 disables).
 	DigestInterval time.Duration
 	// OnBlockComplete fires when this node has reconstructed a full block
 	// (Predis block + every referenced bundle).
 	OnBlockComplete func(blk *core.PredisBlock, txs int)
-	// OnBundle fires for every bundle this node assembles from stripes.
-	OnBundle func(b *core.Bundle)
 	// Ledger, when non-nil, records every completed block (§II: full
 	// nodes maintain the ledger history).
 	Ledger *ledger.Ledger
@@ -65,21 +64,6 @@ type FullNodeConfig struct {
 	ExecSerial bool
 	// OnExecute observes each executed block's result.
 	OnExecute func(r exec.Result)
-	// KeepConfirmed bounds retained bundles per chain.
-	KeepConfirmed int
-	// Retry paces bundle-pull retries and restart catch-up rounds. The
-	// zero value selects env.DefaultBackoff(AliveInterval).
-	Retry env.Backoff
-	// QuarantineAfter is how many cryptographic offenses (a stripe whose
-	// Merkle proof or bundle-header signature fails verification) a peer
-	// may commit before this node blacklists it. Only proof/signature
-	// failures count — gaps, timeouts, and losses never do — so benign
-	// runs are unaffected. Default 3; negative disables quarantine.
-	QuarantineAfter int
-	// QuarantineTTL is how long a quarantined peer stays blacklisted
-	// before it may serve or receive stripes again. Default
-	// 8×AliveInterval.
-	QuarantineTTL time.Duration
 	// StarveRewireAfter rewires a stripe subscription to an alternate
 	// source after this many consecutively assembled bundles were missing
 	// that stripe at assembly time while its sender had been silent for
@@ -89,15 +73,26 @@ type FullNodeConfig struct {
 	// path loss, so the rewire heuristic is opt-in: zero (the default)
 	// disables it, and the Byzantine harness enables it.
 	StarveRewireAfter int
-	// CatchupWindow bounds the ring of completed blocks retained to serve
-	// BlockRequests from restarting peers (default 512, <0 disables).
-	CatchupWindow int
 	// Trace, when non-nil, closes the stripe_distributed and
 	// fullnode_delivered lifecycle spans (anchored by the consensus-side
 	// distributor) when bundles assemble and blocks complete here. Nil
 	// disables tracing at zero cost.
 	Trace *obs.Tracer
 }
+
+const (
+	// heartbeatInterval paces liveness probes.
+	heartbeatInterval = time.Second
+	// quarantineAfter is how many cryptographic offenses (a stripe whose
+	// Merkle proof or bundle-header signature fails verification) a peer
+	// may commit before this node blacklists it. Only proof/signature
+	// failures count — gaps, timeouts, and losses never do — so benign
+	// runs are unaffected.
+	quarantineAfter = 3
+	// fullNodeCatchupWindow bounds the ring of completed blocks retained
+	// to serve BlockRequests from restarting peers.
+	fullNodeCatchupWindow = 512
+)
 
 func (c *FullNodeConfig) withDefaults() FullNodeConfig {
 	out := *c
@@ -106,21 +101,6 @@ func (c *FullNodeConfig) withDefaults() FullNodeConfig {
 	}
 	if out.AliveInterval <= 0 {
 		out.AliveInterval = 500 * time.Millisecond
-	}
-	if out.HeartbeatInterval <= 0 {
-		out.HeartbeatInterval = time.Second
-	}
-	if out.Retry == (env.Backoff{}) {
-		out.Retry = env.DefaultBackoff(out.AliveInterval)
-	}
-	if out.QuarantineAfter == 0 {
-		out.QuarantineAfter = 3
-	}
-	if out.QuarantineTTL <= 0 {
-		out.QuarantineTTL = 8 * out.AliveInterval
-	}
-	if out.CatchupWindow == 0 {
-		out.CatchupWindow = 512
 	}
 	return out
 }
@@ -154,6 +134,11 @@ type FullNode struct {
 	cfg FullNodeConfig
 	ctx env.Context
 	mp  *core.Mempool
+	// retry paces bundle-pull retries and restart catch-up rounds.
+	retry env.Backoff
+	// quarantineTTL is how long a quarantined peer stays blacklisted
+	// before it may serve or receive stripes again.
+	quarantineTTL time.Duration
 
 	// Subscription state.
 	stripeSender map[uint8]wire.NodeID          // who sends us each stripe
@@ -216,31 +201,32 @@ func NewFullNode(cfg FullNodeConfig) (*FullNode, error) {
 	c := cfg.withDefaults()
 	mp, err := core.NewMempool(core.Params{
 		NC: c.NC, F: c.F, BundleSize: 1, // BundleSize unused on the receive path
-		KeepConfirmed: c.KeepConfirmed,
-		Signer:        c.Signer,
+		Signer: c.Signer,
 	})
 	if err != nil {
 		return nil, err
 	}
 	return &FullNode{
-		cfg:          c,
-		mp:           mp,
-		stripeSender: make(map[uint8]wire.NodeID),
-		pendingSub:   make(map[uint8]wire.NodeID),
-		subscribers:  make(map[uint8]map[wire.NodeID]bool),
-		consensusDir: make(map[uint8]bool),
-		zoneRelayers: make(map[wire.NodeID]*relayerInfo),
-		partials:     make(map[crypto.Hash]*partialBundle),
-		pulls:        make(map[wire.NodeID]*pullState),
-		seenBlocks:   make(map[crypto.Hash]uint64),
-		lastSeen:     make(map[wire.NodeID]time.Time),
-		offenses:     make(map[wire.NodeID]int),
-		quarantined:  make(map[wire.NodeID]time.Time),
-		starve:       make(map[uint8]int),
-		stripeSeen:   make(map[uint8]time.Time),
-		refetching:   make(map[crypto.Hash]bool),
-		specBlocks:   make(map[crypto.Hash]*specEntry),
-		lastCuts:     core.ZeroCuts(c.NC),
+		cfg:           c,
+		mp:            mp,
+		retry:         env.DefaultBackoff(c.AliveInterval),
+		quarantineTTL: 8 * c.AliveInterval,
+		stripeSender:  make(map[uint8]wire.NodeID),
+		pendingSub:    make(map[uint8]wire.NodeID),
+		subscribers:   make(map[uint8]map[wire.NodeID]bool),
+		consensusDir:  make(map[uint8]bool),
+		zoneRelayers:  make(map[wire.NodeID]*relayerInfo),
+		partials:      make(map[crypto.Hash]*partialBundle),
+		pulls:         make(map[wire.NodeID]*pullState),
+		seenBlocks:    make(map[crypto.Hash]uint64),
+		lastSeen:      make(map[wire.NodeID]time.Time),
+		offenses:      make(map[wire.NodeID]int),
+		quarantined:   make(map[wire.NodeID]time.Time),
+		starve:        make(map[uint8]int),
+		stripeSeen:    make(map[uint8]time.Time),
+		refetching:    make(map[crypto.Hash]bool),
+		specBlocks:    make(map[crypto.Hash]*specEntry),
+		lastCuts:      core.ZeroCuts(c.NC),
 	}, nil
 }
 
@@ -747,7 +733,7 @@ func (f *FullNode) armAlive() {
 }
 
 func (f *FullNode) armHeartbeat() {
-	f.heartbeatTimer = f.ctx.After(f.cfg.HeartbeatInterval, func() {
+	f.heartbeatTimer = f.ctx.After(heartbeatInterval, func() {
 		hb := &Heartbeat{}
 		sent := make(map[wire.NodeID]bool)
 		targets := make([]wire.NodeID, 0, len(f.stripeSender)+f.subCount)
@@ -770,7 +756,7 @@ func (f *FullNode) armHeartbeat() {
 		// Expire dead senders and resubscribe (§IV-E).
 		now := f.ctx.Now()
 		for s, sd := range f.stripeSender {
-			if seen, ok := f.lastSeen[sd]; ok && now.Sub(seen) > 3*f.cfg.HeartbeatInterval {
+			if seen, ok := f.lastSeen[sd]; ok && now.Sub(seen) > 3*heartbeatInterval {
 				delete(f.stripeSender, s)
 				delete(f.consensusDir, s)
 			}
@@ -779,7 +765,7 @@ func (f *FullNode) armHeartbeat() {
 		// consuming a subscription slot (and forwarding bandwidth) forever.
 		for s, subs := range f.subscribers {
 			for id := range subs {
-				if seen, ok := f.lastSeen[id]; ok && now.Sub(seen) > 3*f.cfg.HeartbeatInterval {
+				if seen, ok := f.lastSeen[id]; ok && now.Sub(seen) > 3*heartbeatInterval {
 					delete(subs, id)
 					f.subCount--
 					f.subsChanged()

@@ -126,9 +126,6 @@ func (f *FullNode) storeBundle(b *core.Bundle, verify bool) {
 		// full node (first completion wins per node).
 		f.cfg.Trace.SpanSinceMark(obs.StageStripeDistributed,
 			obs.BundleKey(b.Header.Producer, b.Header.Height), f.cfg.Self, f.ctx.Now())
-		if f.cfg.OnBundle != nil {
-			f.cfg.OnBundle(b)
-		}
 	}
 }
 

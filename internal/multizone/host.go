@@ -44,16 +44,9 @@ type HostConfig struct {
 	Pipeline int
 	// Striper must match the full nodes'.
 	Striper *Striper
-	// MaxSubscribers caps relayer subscriptions at this consensus node
-	// (0 = unlimited).
-	MaxSubscribers int
 	// ReplyToClients / OnCommit: measurement hooks as in node.Config.
 	ReplyToClients bool
 	OnCommit       func(height uint64, txs int)
-	// SubscriberTTL expires relayer subscriptions that stopped
-	// heartbeating (0 disables; 3× the full nodes' HeartbeatInterval is a
-	// sensible value).
-	SubscriberTTL time.Duration
 	// Trace, when non-nil, records block/bundle lifecycle stages across
 	// the node and the distributor. Nil disables tracing at zero cost.
 	Trace *obs.Tracer
@@ -70,8 +63,8 @@ type HostConfig struct {
 // NewConsensusHost builds the host. Multi-Zone always runs Predis (the
 // paper's deployment: Predis on BFT-SMaRt with Multi-Zone distribution).
 func NewConsensusHost(cfg HostConfig) (*ConsensusHost, error) {
-	dist := NewDistributor(cfg.Self, cfg.NC, cfg.Striper, cfg.MaxSubscribers)
-	dist.SetSubscriberTTL(cfg.SubscriberTTL)
+	// Consensus hosts accept every relayer and never expire subscriptions.
+	dist := NewDistributor(cfg.Self, cfg.NC, cfg.Striper, 0)
 	dist.SetTrace(cfg.Trace)
 	n, err := node.New(node.Config{
 		Mode:           node.ModePredis,

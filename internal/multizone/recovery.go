@@ -140,7 +140,7 @@ func (f *FullNode) sendCatchupRound() {
 		f.ctx.Send(peer, req)
 	}
 	cu.attempt++
-	delay := f.cfg.Retry.Delay(cu.attempt-1, f.ctx.Rand())
+	delay := f.retry.Delay(cu.attempt-1, f.ctx.Rand())
 	cu.timer = f.ctx.After(delay, f.sendCatchupRound)
 }
 
@@ -338,7 +338,7 @@ func (f *FullNode) firePull(producer wire.NodeID, st *pullState) {
 	target := targets[st.attempt%len(targets)]
 	f.ctx.Send(target, &core.BundleRequest{Producer: producer, From: st.from, To: st.to})
 	st.attempt++
-	delay := f.cfg.Retry.Delay(st.attempt-1, f.ctx.Rand())
+	delay := f.retry.Delay(st.attempt-1, f.ctx.Rand())
 	st.timer = f.ctx.After(delay, func() {
 		if f.pulls[producer] != st {
 			return
@@ -377,21 +377,18 @@ func (f *FullNode) reconcilePulls() {
 
 // pushRecentBlock records a completed block for BlockRequest service.
 func (f *FullNode) pushRecentBlock(blk *core.PredisBlock) {
-	if f.cfg.CatchupWindow <= 0 {
-		return
-	}
 	if f.recentBlks == nil {
-		f.recentBlks = make([]*core.PredisBlock, f.cfg.CatchupWindow)
+		f.recentBlks = make([]*core.PredisBlock, fullNodeCatchupWindow)
 	}
-	f.recentBlks[int(blk.Height)%f.cfg.CatchupWindow] = blk
+	f.recentBlks[int(blk.Height)%fullNodeCatchupWindow] = blk
 }
 
 // recentBlock returns the retained block at a height, or nil if evicted.
 func (f *FullNode) recentBlock(height uint64) *core.PredisBlock {
-	if f.cfg.CatchupWindow <= 0 || len(f.recentBlks) == 0 || height == 0 {
+	if len(f.recentBlks) == 0 || height == 0 {
 		return nil
 	}
-	blk := f.recentBlks[int(height)%f.cfg.CatchupWindow]
+	blk := f.recentBlks[int(height)%fullNodeCatchupWindow]
 	if blk == nil || blk.Height != height {
 		return nil
 	}

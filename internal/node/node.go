@@ -81,9 +81,8 @@ type Config struct {
 	BundleSize int
 	// BundleInterval is the Predis producer tick.
 	BundleInterval time.Duration
-	// ViewTimeout / ReproposeInterval tune the engine.
-	ViewTimeout       time.Duration
-	ReproposeInterval time.Duration
+	// ViewTimeout tunes the engine.
+	ViewTimeout time.Duration
 	// Fault selects Byzantine behaviour (Predis mode; Fig. 6).
 	Fault core.FaultMode
 	// Stream enables streaming commit mode (Predis mode): producers seal
@@ -110,8 +109,6 @@ type Config struct {
 	// OnCommit observes every committed block's transactions (harness
 	// measurement hook), with the commit time implied by ctx.Now.
 	OnCommit func(height uint64, txs []*types.Transaction)
-	// Disseminate overrides Predis bundle dissemination (Multi-Zone).
-	Disseminate func(ctx env.Context, b *core.Bundle)
 	// StripeRoot commits a stripe Merkle root into bundle headers before
 	// signing (Multi-Zone; see core.Options.StripeRoot).
 	StripeRoot func(txs []*types.Transaction) crypto.Hash
@@ -121,8 +118,6 @@ type Config struct {
 	// OnBlockCommit observes committed Predis blocks (Multi-Zone pushes
 	// them to relayers from here). Predis mode only.
 	OnBlockCommit func(blk *core.PredisBlock)
-	// KeepConfirmed bounds retained confirmed bundles per chain.
-	KeepConfirmed int
 	// Trace, when non-nil, records lifecycle stages (submit arrival here;
 	// bundle/consensus stages in the wrapped components). Nil disables
 	// tracing at zero cost.
@@ -191,7 +186,6 @@ func New(cfg Config) (*Node, error) {
 				NC: cfg.NC, F: cfg.F,
 				BundleSize:     cfg.BundleSize,
 				BundleInterval: cfg.BundleInterval,
-				KeepConfirmed:  cfg.KeepConfirmed,
 				Signer:         cfg.Signer,
 			},
 			Self:           cfg.Self,
@@ -201,7 +195,6 @@ func New(cfg Config) (*Node, error) {
 			StreamDrain:    cfg.Stream && cfg.Engine == EngineHotStuff,
 			OnProposal:     cfg.OnBlockPropose,
 			OnEvict:        cfg.OnBlockEvict,
-			Disseminate:    cfg.Disseminate,
 			StripeRoot:     cfg.StripeRoot,
 			OnBundleStored: cfg.OnBundleStored,
 			Trace:          cfg.Trace,
@@ -257,15 +250,12 @@ func New(cfg Config) (*Node, error) {
 	case EnginePBFT:
 		engine, err = pbft.New(pbft.Config{
 			N: cfg.NC, Self: cfg.Self, App: app, Signer: cfg.Signer,
-			ViewTimeout: cfg.ViewTimeout, ReproposeInterval: cfg.ReproposeInterval,
-			Pipeline: cfg.Pipeline,
-			Trace:    cfg.Trace,
+			ViewTimeout: cfg.ViewTimeout, Pipeline: cfg.Pipeline, Trace: cfg.Trace,
 		})
 	case EngineHotStuff:
 		engine, err = hotstuff.New(hotstuff.Config{
 			N: cfg.NC, Self: cfg.Self, App: app, Signer: cfg.Signer,
-			ViewTimeout: cfg.ViewTimeout, ReproposeInterval: cfg.ReproposeInterval,
-			Trace: cfg.Trace,
+			ViewTimeout: cfg.ViewTimeout, Trace: cfg.Trace,
 		})
 	default:
 		err = fmt.Errorf("node: unknown engine %d", cfg.Engine)

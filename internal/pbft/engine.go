@@ -26,9 +26,6 @@ type Config struct {
 	// ViewTimeout is the base leader-suspicion timeout; it doubles on
 	// consecutive failed view changes. Default 2s.
 	ViewTimeout time.Duration
-	// ReproposeInterval is how often an idle leader re-asks the app for a
-	// proposal. Default 10ms.
-	ReproposeInterval time.Duration
 	// Pipeline is the maximum number of in-flight instances (sequence
 	// numbers past lastExec the leader may have proposed but not yet
 	// executed). The default 1 is classic single-slot PBFT. Streaming
@@ -43,13 +40,14 @@ type Config struct {
 	Trace *obs.Tracer
 }
 
+// reproposeInterval is how often an idle leader re-asks the app for a
+// proposal.
+const reproposeInterval = 10 * time.Millisecond
+
 func (c *Config) withDefaults() Config {
 	out := *c
 	if out.ViewTimeout <= 0 {
 		out.ViewTimeout = 2 * time.Second
-	}
-	if out.ReproposeInterval <= 0 {
-		out.ReproposeInterval = 10 * time.Millisecond
 	}
 	if out.Pipeline <= 0 {
 		out.Pipeline = 1
@@ -207,7 +205,7 @@ func (e *Engine) hasPendingWork() bool {
 }
 
 func (e *Engine) armRepropose() {
-	e.repropose = e.ctx.After(e.cfg.ReproposeInterval, func() {
+	e.repropose = e.ctx.After(reproposeInterval, func() {
 		e.tryPropose()
 		e.armRepropose()
 	})

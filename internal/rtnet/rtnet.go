@@ -38,15 +38,8 @@ type Config struct {
 	// AddPeer before Start. Outbound connections are dialed lazily on
 	// first Send and redialed with backoff.
 	Peers map[wire.NodeID]string
-	// Seed drives the handler's Rand.
-	Seed int64
 	// LogWriter receives Logf output when non-nil.
 	LogWriter io.Writer
-	// SendQueue bounds per-peer outbound queues (default 4096 messages);
-	// overflow drops, which the env contract allows.
-	SendQueue int
-	// DialTimeout bounds connection attempts (default 3s).
-	DialTimeout time.Duration
 	// Redial is the backoff policy for outbound redials. The zero value
 	// selects env.DefaultBackoff(100ms) capped at 5s: 100ms doubling to
 	// 1.6s nominal with ±25% jitter, hard-capped at 5s, so a flapping
@@ -54,6 +47,14 @@ type Config struct {
 	// lockstep.
 	Redial env.Backoff
 }
+
+const (
+	// sendQueue bounds per-peer outbound queues (messages); overflow
+	// drops, which the env contract allows.
+	sendQueue = 4096
+	// dialTimeout bounds connection attempts.
+	dialTimeout = 3 * time.Second
+)
 
 // Runtime hosts one handler.
 type Runtime struct {
@@ -89,12 +90,6 @@ func New(cfg Config, h env.Handler) (*Runtime, error) {
 	if h == nil {
 		return nil, errors.New("rtnet: handler is required")
 	}
-	if cfg.SendQueue <= 0 {
-		cfg.SendQueue = 4096
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 3 * time.Second
-	}
 	if cfg.Redial.Base <= 0 {
 		cfg.Redial = env.DefaultBackoff(100 * time.Millisecond)
 		cfg.Redial.Max = 5 * time.Second
@@ -102,7 +97,7 @@ func New(cfg Config, h env.Handler) (*Runtime, error) {
 	r := &Runtime{
 		cfg:     cfg,
 		handler: h,
-		rng:     rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.Self+1)*0x5851f42d4c957f2d)),
+		rng:     rand.New(rand.NewSource(int64(cfg.Self+1) * 0x5851f42d4c957f2d)),
 		peers:   make(map[wire.NodeID]string),
 		conns:   make(map[wire.NodeID]*peerConn),
 		inbound: make(map[net.Conn]struct{}),
@@ -264,7 +259,7 @@ func (r *Runtime) peer(id wire.NodeID) *peerConn {
 	if !ok {
 		return nil
 	}
-	pc := &peerConn{id: id, addr: addr, queue: make(chan []byte, r.cfg.SendQueue)}
+	pc := &peerConn{id: id, addr: addr, queue: make(chan []byte, sendQueue)}
 	r.conns[id] = pc
 	r.wg.Add(1)
 	go r.writeLoop(pc)
@@ -284,7 +279,7 @@ func (r *Runtime) writeLoop(pc *peerConn) {
 	// Per-loop jitter source: writeLoop runs on its own goroutine, so it
 	// must not share the handler's rng. Seeded per (self, peer) pair so
 	// two runtimes redialing the same peer stay decorrelated.
-	rng := rand.New(rand.NewSource(r.cfg.Seed ^
+	rng := rand.New(rand.NewSource(
 		int64(r.cfg.Self+1)*0x5851f42d4c957f2d ^ int64(pc.id+1)*0x2545f4914f6cdd1d))
 	attempt := 0
 	for frame := range pc.queue {
@@ -294,7 +289,7 @@ func (r *Runtime) writeLoop(pc *peerConn) {
 				return
 			default:
 			}
-			conn, err := net.DialTimeout("tcp", pc.addr, r.cfg.DialTimeout)
+			conn, err := net.DialTimeout("tcp", pc.addr, dialTimeout)
 			if err != nil {
 				delay := r.cfg.Redial.Delay(attempt, rng)
 				attempt++

@@ -7,6 +7,11 @@
 // rule). Latency is submit → (f+1)-th reply, matching §V-A's definition:
 // "the time elapsed from when a client sends a transaction to replicas to
 // when the client receives a reply".
+//
+// A Flow is the population-scale generator: one handler offering the
+// Poisson load of thousands of logical clients to a single target. It
+// neither waits for nor counts replies, so it measures offered load, not
+// confirmation latency.
 package workload
 
 import (
