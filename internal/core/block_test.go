@@ -315,3 +315,49 @@ func TestPredisBlockConstantSize(t *testing.T) {
 		t.Fatal("block size varied with transaction volume")
 	}
 }
+
+// TestPredisBlockHashMemoIsCopySafe: a value copy carries the original's
+// memo along with its fields, so a copy whose cut was tampered with must
+// still hash to its own content — otherwise the tampered block would
+// verify against the original signature, and TestValidateRejectsBadBlocks'
+// tampered-cut case would pass on the head check alone.
+func TestPredisBlockHashMemoIsCopySafe(t *testing.T) {
+	r := newRig(t, 4, 1, 50)
+	populate(r, 3)
+	prev := ZeroCuts(4)
+	blk, ok := r.pools[0].BuildPredisBlock(1, crypto.ZeroHash, prev, 0)
+	if !ok {
+		t.Fatal("no block")
+	}
+	orig := blk.Hash()
+	bad := *blk
+	bad.Cuts = append([]Cut(nil), blk.Cuts...)
+	bad.Cuts[0].Height++
+	if bad.Hash() == orig {
+		t.Fatal("tampered value copy inherited the original's memoized hash")
+	}
+	if r.suite.Signer(1).Verify(int(blk.Leader), bad.Hash(), bad.Sig) {
+		t.Fatal("original signature verifies the tampered copy")
+	}
+	if blk.Hash() != orig {
+		t.Fatal("hashing the copy disturbed the original's memo")
+	}
+	fresh := &PredisBlock{Height: blk.Height, Parent: blk.Parent, Leader: blk.Leader, Cuts: blk.Cuts, TxRoot: blk.TxRoot}
+	if fresh.Hash() != orig {
+		t.Fatal("memoized hash differs from a fresh computation")
+	}
+}
+
+// TestPredisBlockHashZeroAlloc: a memo hit allocates nothing.
+func TestPredisBlockHashZeroAlloc(t *testing.T) {
+	r := newRig(t, 4, 1, 50)
+	populate(r, 2)
+	blk, ok := r.pools[0].BuildPredisBlock(1, crypto.ZeroHash, ZeroCuts(4), 0)
+	if !ok {
+		t.Fatal("no block")
+	}
+	blk.Hash()
+	if n := testing.AllocsPerRun(100, func() { blk.Hash() }); n != 0 {
+		t.Fatalf("PredisBlock.Hash memo hit allocates %.1f objects, want 0", n)
+	}
+}

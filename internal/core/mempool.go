@@ -323,7 +323,13 @@ func (m *Mempool) MarkConfirmed(producer wire.NodeID, height uint64) {
 				drop = uint64(len(c.bundles))
 				newBase = c.base + drop
 			}
-			c.bundles = append([]*Bundle(nil), c.bundles[drop:]...)
+			// Clear the pruned slots so their bundles can be collected,
+			// then reslice. The dead prefix stays in the backing array
+			// only until the next append at capacity, which copies just
+			// the live run into a fresh array of about twice its length,
+			// so the array never outgrows twice the largest live window.
+			clear(c.bundles[:drop])
+			c.bundles = c.bundles[drop:]
 			c.base = newBase
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -449,5 +450,68 @@ func TestMessageCodecs(t *testing.T) {
 	}
 	if len(wire.Marshal(cresp)) != cresp.WireSize() {
 		t.Fatal("CatchupResponse WireSize mismatch")
+	}
+}
+
+// TestMarkConfirmedWindowMatchesModel confirms a long chain in random
+// strides and checks, after every confirmation, that Bases() and
+// Bundle(producer, h) around the window agree with the plain model
+// (base = confirmed − KeepConfirmed, clipped to the tip) and that the
+// retained slice's capacity stays bounded: pruning advances the window
+// instead of copying it, and the dead prefix must not accumulate.
+func TestMarkConfirmedWindowMatchesModel(t *testing.T) {
+	const keep, n = 4, 10000
+	suite := crypto.NewSimSuite(4, 1)
+	mp, err := NewMempool(Params{NC: 4, F: 1, BundleSize: 10, Signer: suite.Signer(0), KeepConfirmed: keep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	all := []*Bundle{nil} // all[h] is the bundle at height h
+	var tail *BundleHeader
+	var confirmed, base uint64
+	maxCap := 0
+	for len(all) <= n {
+		tips := mp.Tips()
+		tips[0]++
+		b := PackBundle(suite.Signer(0), 0, tail, nil, tips)
+		tail = &b.Header
+		if _, _, _, err := mp.AddBundle(b, false); err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, b)
+		tip := uint64(len(all) - 1)
+		if lag := uint64(rng.Intn(8)); lag < tip && tip-lag > confirmed && rng.Intn(3) > 0 {
+			target := tip - lag
+			confirmed = target
+			mp.MarkConfirmed(0, confirmed)
+		}
+		if confirmed > keep && confirmed-keep > base {
+			base = confirmed - keep
+		}
+		if got := mp.Bases()[0]; got != base {
+			t.Fatalf("tip %d confirmed %d: Bases()[0] = %d, want %d", tip, confirmed, got, base)
+		}
+		lo := uint64(0)
+		if base > 2 {
+			lo = base - 2
+		}
+		for h := lo; h <= tip+1; h++ {
+			var want *Bundle
+			if h > base && h <= tip {
+				want = all[h]
+			}
+			if got := mp.Bundle(0, h); got != want {
+				t.Fatalf("tip %d base %d: Bundle(0, %d) = %p, want %p", tip, base, h, got, want)
+			}
+		}
+		if c := cap(mp.chains[0].bundles); c > maxCap {
+			maxCap = c
+		}
+	}
+	// The live window never exceeds keep + 8 unconfirmed bundles; append
+	// at capacity reallocates to about twice the live length.
+	if bound := 4 * (keep + 8); maxCap > bound {
+		t.Fatalf("cap(bundles) reached %d over %d confirmations, want ≤ %d", maxCap, n, bound)
 	}
 }

@@ -197,6 +197,14 @@ type PredisBlock struct {
 	TxRoot crypto.Hash
 	// Sig is the leader's signature over Hash().
 	Sig []byte
+
+	// hash memoizes Hash() for the block at address hashOf. Blocks are
+	// immutable once packed or decoded, but a value copy (a test tampering
+	// with a cut) carries the memo along with its fields; the address
+	// check makes the copy recompute instead of inheriting the original's
+	// identity.
+	hash   crypto.Hash
+	hashOf *PredisBlock
 }
 
 var _ wire.Message = (*PredisBlock)(nil)
@@ -259,8 +267,23 @@ func decodePredisBlock(d *wire.Decoder) (wire.Message, error) {
 	return m, d.Err()
 }
 
-// Hash returns the block identity (all fields except the signature).
+// Hash returns the block identity (all fields except the signature). The
+// digest is memoized: validation, signing, fan-out dedup and speculation
+// settlement all ask for it, several times per block per node.
+//
+//predis:hotpath
 func (m *PredisBlock) Hash() crypto.Hash {
+	if m.hashOf != m {
+		m.hash = m.computeHash()
+		m.hashOf = m
+	}
+	return m.hash
+}
+
+// computeHash encodes the unsigned fields and digests them.
+//
+//predis:coldpath
+func (m *PredisBlock) computeHash() crypto.Hash {
 	e := wire.NewEncoder(m.WireSize())
 	m.encodeUnsigned(e)
 	return crypto.HashBytes(e.Bytes())

@@ -28,7 +28,7 @@ package exec
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 
 	"predis/internal/crypto"
 	"predis/internal/types"
@@ -107,11 +107,16 @@ func (c *MVCache) Version(key uint64) int {
 // Len returns the number of distinct keys written.
 func (c *MVCache) Len() int { return len(c.vals) }
 
-// flushInto folds the cached values into the base state.
-func (c *MVCache) flushInto(state map[uint64]uint64) {
+// flushInto folds the cached values into the base state and appends to
+// fresh every key the state did not hold before.
+func (c *MVCache) flushInto(state map[uint64]uint64, fresh []uint64) []uint64 {
 	for k, v := range c.vals {
+		if _, ok := state[k]; !ok {
+			fresh = append(fresh, k)
+		}
 		state[k] = v
 	}
+	return fresh
 }
 
 // Result summarizes one block's execution.
@@ -157,6 +162,12 @@ type Machine struct {
 	// loop.
 	rbuf, wbuf []uint64
 	effs       []effect
+
+	// keys lists the keys of state in ascending order; commit merges each
+	// block's first-written keys in (fresh is their scratch buffer), so
+	// StateRoot never sorts. rootBuf is StateRoot's reused encoding.
+	keys, fresh []uint64
+	rootBuf     []byte
 }
 
 // NewMachine builds a machine whose accounts all start at the genesis
@@ -187,19 +198,41 @@ func (m *Machine) Stats() Stats { return m.stats }
 // of the genesis balance followed by every written (account, balance)
 // pair in ascending account order. Two machines agree on the root iff
 // they agree on every balance.
+//
+//predis:hotpath
 func (m *Machine) StateRoot() crypto.Hash {
-	keys := make([]uint64, 0, len(m.state))
-	for k := range m.state {
-		keys = append(keys, k)
+	need := 8 + 16*len(m.keys)
+	if cap(m.rootBuf) < need {
+		m.rootBuf = make([]byte, need, 2*need) //predis:allocok grows with the account set, amortized
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	buf := make([]byte, 0, 8+16*len(keys))
-	buf = binary.BigEndian.AppendUint64(buf, m.genesis)
-	for _, k := range keys {
-		buf = binary.BigEndian.AppendUint64(buf, k)
-		buf = binary.BigEndian.AppendUint64(buf, m.state[k])
+	buf := m.rootBuf[:need]
+	binary.BigEndian.PutUint64(buf, m.genesis)
+	for i, k := range m.keys {
+		binary.BigEndian.PutUint64(buf[8+16*i:], k)
+		binary.BigEndian.PutUint64(buf[16+16*i:], m.state[k])
 	}
 	return crypto.HashBytes(buf)
+}
+
+// admitKeys merges the block's first-written keys into the ordered key
+// list: a sort of the new keys, usually few, and one backward merge, so
+// a block costs O(new log new + accounts) rather than a full sort.
+func (m *Machine) admitKeys(fresh []uint64) {
+	if len(fresh) == 0 {
+		return
+	}
+	slices.Sort(fresh)
+	i, j := len(m.keys)-1, len(fresh)-1
+	m.keys = append(m.keys, fresh...)
+	for k := len(m.keys) - 1; j >= 0; k-- {
+		if i >= 0 && m.keys[i] > fresh[j] {
+			m.keys[k] = m.keys[i]
+			i--
+		} else {
+			m.keys[k] = fresh[j]
+			j--
+		}
+	}
 }
 
 // semantic returns the indices of the block's non-opaque transactions.
@@ -388,7 +421,8 @@ func (m *Machine) ExecuteBlockSerial(height uint64, txs []*types.Transaction) Re
 // commit flushes the block's cache into the base state and finalizes
 // the result and lifetime stats.
 func (m *Machine) commit(cache *MVCache, res *Result) {
-	cache.flushInto(m.state)
+	m.fresh = cache.flushInto(m.state, m.fresh[:0])
+	m.admitKeys(m.fresh)
 	m.height = res.Height
 	res.StateRoot = m.StateRoot()
 	m.stats.Blocks++

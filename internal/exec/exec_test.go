@@ -1,6 +1,9 @@
 package exec
 
 import (
+	"encoding/binary"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -110,7 +113,7 @@ func TestMVCacheVersioning(t *testing.T) {
 		t.Fatalf("versions = %d,%d len %d", c.Version(7), c.Version(8), c.Len())
 	}
 	state := map[uint64]uint64{8: 1}
-	c.flushInto(state)
+	c.flushInto(state, nil)
 	if state[7] != 20 || state[8] != 11 {
 		t.Fatalf("flush kept stale values: %v", state)
 	}
@@ -319,5 +322,69 @@ func TestRMWDelta(t *testing.T) {
 	})
 	if got := m.Balance(5); got != genesis+20 {
 		t.Fatalf("Balance(5) = %d, want %d", got, genesis+20)
+	}
+}
+
+// scratchRoot recomputes the state root from nothing: every written key,
+// sorted, with its balance.
+func scratchRoot(m *Machine) crypto.Hash {
+	keys := make([]uint64, 0, len(m.state))
+	for k := range m.state {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	buf := binary.BigEndian.AppendUint64(nil, m.genesis)
+	for _, k := range keys {
+		buf = binary.BigEndian.AppendUint64(buf, k)
+		buf = binary.BigEndian.AppendUint64(buf, m.state[k])
+	}
+	return crypto.HashBytes(buf)
+}
+
+// TestStateRootMatchesScratch executes random blocks of transfers and
+// read-modify-writes over a key space that keeps growing, through all
+// three committers, and checks after every block that the incrementally
+// ordered root equals a from-scratch sorted recomputation.
+func TestStateRootMatchesScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	m := NewMachine(genesis)
+	seq := uint64(0)
+	for height := uint64(1); height <= 300; height++ {
+		span := 10 + height*5 // new accounts keep appearing
+		txs := make([]*types.Transaction, rng.Intn(40))
+		for i := range txs {
+			seq++
+			if rng.Intn(3) == 0 {
+				txs[i] = rmw(seq, []uint64{uint64(rng.Int63n(int64(span)))},
+					[]uint64{uint64(rng.Int63n(int64(span))), uint64(rng.Int63n(int64(span)))}, 3)
+			} else {
+				txs[i] = transfer(seq, uint64(rng.Int63n(int64(span))), uint64(rng.Int63n(int64(span))), uint64(rng.Intn(50)))
+			}
+		}
+		var res Result
+		switch height % 3 {
+		case 0:
+			res = m.ExecuteBlock(height, txs)
+		case 1:
+			res = m.ExecuteBlockSerial(height, txs)
+		default:
+			res = m.ExecuteBlockBundles(height, [][]*types.Transaction{txs[:len(txs)/2], txs[len(txs)/2:]})
+		}
+		if want := scratchRoot(m); res.StateRoot != want || m.StateRoot() != want {
+			t.Fatalf("height %d: root %s, from scratch %s", height, res.StateRoot.Short(), want.Short())
+		}
+		if len(m.keys) != len(m.state) {
+			t.Fatalf("height %d: %d ordered keys for %d accounts", height, len(m.keys), len(m.state))
+		}
+	}
+}
+
+// TestStateRootZeroAlloc: with no new keys since the last call,
+// StateRoot allocates nothing.
+func TestStateRootZeroAlloc(t *testing.T) {
+	m := NewMachine(genesis)
+	m.ExecuteBlock(1, uniformBlock(64))
+	if n := testing.AllocsPerRun(100, func() { m.StateRoot() }); n != 0 {
+		t.Fatalf("StateRoot allocates %.1f objects, want 0", n)
 	}
 }

@@ -1,6 +1,9 @@
 package harness
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"os/exec"
@@ -8,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"predis/internal/core"
 	"predis/internal/faults"
+	"predis/internal/simnet"
 )
 
 // TestReplayQuickstartDeterministic runs the quickstart-style experiment
@@ -144,5 +149,43 @@ func TestReplayRecoveryDeterministic(t *testing.T) {
 	}
 	if s1 != s2 {
 		t.Fatalf("same-seed recovery state diverged:\n  %s\n  %s", s1, s2)
+	}
+}
+
+// TestReplayTraceRecord pins the fold: each delivery adds one 28-byte
+// record (from, to, type, wire size, virtual offset, two zero bytes) to
+// the running SHA-256, and recording allocates nothing.
+func TestReplayTraceRecord(t *testing.T) {
+	tr := NewReplayTrace()
+	m := &core.CatchupRequest{Height: 9}
+	at := simnet.Epoch.Add(1500 * time.Microsecond)
+	tr.record(3, 7, m, at)
+	tr.record(7, 3, m, at.Add(time.Millisecond))
+
+	want := sha256.New()
+	for _, d := range []struct {
+		from, to uint32
+		at       time.Duration
+	}{{3, 7, 1500 * time.Microsecond}, {7, 3, 2500 * time.Microsecond}} {
+		var rec [28]byte
+		binary.LittleEndian.PutUint32(rec[0:], d.from)
+		binary.LittleEndian.PutUint32(rec[4:], d.to)
+		binary.LittleEndian.PutUint16(rec[8:], uint16(m.Type()))
+		binary.LittleEndian.PutUint64(rec[10:], uint64(m.WireSize()))
+		binary.LittleEndian.PutUint64(rec[18:], uint64(d.at))
+		want.Write(rec[:])
+	}
+	if got := tr.Sum(); got != hex.EncodeToString(want.Sum(nil)) || tr.Deliveries() != 2 {
+		t.Fatalf("trace %s over %d deliveries, want %x over 2", got, tr.Deliveries(), want.Sum(nil))
+	}
+}
+
+// TestReplayTraceRecordZeroAlloc: folding a delivery into the trace
+// allocates nothing.
+func TestReplayTraceRecordZeroAlloc(t *testing.T) {
+	tr := NewReplayTrace()
+	m := &core.CatchupRequest{Height: 9}
+	if n := testing.AllocsPerRun(100, func() { tr.record(3, 7, m, simnet.Epoch) }); n != 0 {
+		t.Fatalf("ReplayTrace.record allocates %.1f objects, want 0", n)
 	}
 }

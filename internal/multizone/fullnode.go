@@ -1,6 +1,7 @@
 package multizone
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -146,13 +147,18 @@ type FullNode struct {
 	subscribers  map[uint8]map[wire.NodeID]bool // who we forward each stripe to
 	subCount     int                            // total subscriptions accepted
 	subsSorted   []wire.NodeID                  // memoized sortedSubscribers view; nil = dirty
+	stripeSubs   map[uint8][]wire.NodeID        // memoized per-stripe sorted subscribers; absent = dirty
 	consensusDir map[uint8]bool                 // stripes we take straight from consensus (our "relayed stripes")
 	isRelayer    bool
 	zoneRelayers map[wire.NodeID]*relayerInfo
 	aliveVersion uint64 // our own announcement version counter
 
 	// Data plane.
-	partials   map[crypto.Hash]*partialBundle // by header hash
+	partials map[crypto.Hash]*partialBundle // by header hash
+	// partialTop is the highest partial height per producer, kept in step
+	// with partials by addPartial and dropPartial so the speculative
+	// pre-fetch never scans the map.
+	partialTop map[wire.NodeID]uint64
 	lastCuts   []uint64
 	lastBlock  crypto.Hash
 	lastHeight uint64
@@ -214,9 +220,11 @@ func NewFullNode(cfg FullNodeConfig) (*FullNode, error) {
 		stripeSender:  make(map[uint8]wire.NodeID),
 		pendingSub:    make(map[uint8]wire.NodeID),
 		subscribers:   make(map[uint8]map[wire.NodeID]bool),
+		stripeSubs:    make(map[uint8][]wire.NodeID),
 		consensusDir:  make(map[uint8]bool),
 		zoneRelayers:  make(map[wire.NodeID]*relayerInfo),
 		partials:      make(map[crypto.Hash]*partialBundle),
+		partialTop:    make(map[wire.NodeID]uint64),
 		pulls:         make(map[wire.NodeID]*pullState),
 		seenBlocks:    make(map[crypto.Hash]uint64),
 		lastSeen:      make(map[wire.NodeID]time.Time),
@@ -779,9 +787,37 @@ func (f *FullNode) armHeartbeat() {
 	})
 }
 
-// subsChanged invalidates the memoized sorted-subscriber view; every
+// subsChanged invalidates the memoized sorted-subscriber views; every
 // mutation of f.subscribers must call it.
-func (f *FullNode) subsChanged() { f.subsSorted = nil }
+func (f *FullNode) subsChanged() {
+	f.subsSorted = nil
+	clear(f.stripeSubs)
+}
+
+// stripeSubscribers returns one stripe's subscriber IDs in ascending
+// order, memoized like sortedSubscribers: every stripe of every bundle
+// fans out through it. Callers must not retain or mutate the result.
+func (f *FullNode) stripeSubscribers(s uint8) []wire.NodeID {
+	ids, ok := f.stripeSubs[s]
+	if !ok {
+		ids = f.sortStripeSubscribers(s)
+	}
+	return ids
+}
+
+// sortStripeSubscribers rebuilds and memoizes one stripe's sorted view.
+//
+//predis:coldpath
+func (f *FullNode) sortStripeSubscribers(s uint8) []wire.NodeID {
+	subs := f.subscribers[s]
+	ids := make([]wire.NodeID, 0, len(subs))
+	for id := range subs {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	f.stripeSubs[s] = ids
+	return ids
+}
 
 // sortedSubscribers returns the distinct subscriber IDs across all stripes
 // in ascending order (deterministic fan-out helper). The view is memoized

@@ -57,7 +57,7 @@ func (f *FullNode) onStripe(from wire.NodeID, m *StripeMsg) {
 			return
 		}
 		p = &partialBundle{header: m.Header, stripes: make([]*StripeMsg, f.cfg.NC)}
-		f.partials[headerHash] = p
+		f.addPartial(headerHash, p)
 	}
 	p.stripes[m.Index] = m
 	p.have++
@@ -71,7 +71,7 @@ func (f *FullNode) onStripe(from wire.NodeID, m *StripeMsg) {
 			// colliding proof; wait for more stripes.
 			if p.have >= f.cfg.NC {
 				f.ctx.Logf("multizone: bundle %s unreconstructable: %v", headerHash.Short(), err)
-				delete(f.partials, headerHash)
+				f.dropPartial(headerHash, p)
 			}
 			return
 		}
@@ -85,20 +85,46 @@ func (f *FullNode) onStripe(from wire.NodeID, m *StripeMsg) {
 
 // forwardStripe relays a stripe to this node's subscribers for its index
 // (in ID order, so map iteration never affects the wire).
+//
+//predis:hotpath
 func (f *FullNode) forwardStripe(from wire.NodeID, m *StripeMsg) {
-	subs := f.subscribers[m.Index]
-	if len(subs) == 0 {
+	if len(f.subscribers[m.Index]) == 0 {
 		return
 	}
-	ids := make([]wire.NodeID, 0, len(subs))
-	for id := range subs {
+	for _, id := range f.stripeSubscribers(m.Index) {
 		if id != from {
-			ids = append(ids, id)
+			f.ctx.Send(id, m)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		f.ctx.Send(id, m)
+}
+
+// addPartial stores a new partial bundle and raises its producer's
+// partialTop.
+func (f *FullNode) addPartial(h crypto.Hash, p *partialBundle) {
+	f.partials[h] = p
+	if p.header.Height > f.partialTop[p.header.Producer] {
+		f.partialTop[p.header.Producer] = p.header.Height
+	}
+}
+
+// dropPartial deletes a partial bundle; removing its producer's highest
+// one rescans that producer's partials for the next highest.
+func (f *FullNode) dropPartial(h crypto.Hash, p *partialBundle) {
+	delete(f.partials, h)
+	producer := p.header.Producer
+	if p.header.Height != f.partialTop[producer] {
+		return
+	}
+	var top uint64
+	for _, q := range f.partials {
+		if q.header.Producer == producer && q.header.Height > top {
+			top = q.header.Height
+		}
+	}
+	if top == 0 {
+		delete(f.partialTop, producer)
+	} else {
+		f.partialTop[producer] = top
 	}
 }
 
@@ -237,19 +263,13 @@ func (f *FullNode) onSpecBlock(from wire.NodeID, blk *core.PredisBlock) {
 // bundle already has a partial (stripes ship at bundle-store time, ahead
 // of the proposal), so the pre-fetch stays silent and costs nothing.
 func (f *FullNode) prefetchSpec(from wire.NodeID, blk *core.PredisBlock) {
-	inflight := make(map[wire.NodeID]uint64) // producer → highest height with stripes in flight
-	for _, p := range f.partials {
-		if h := p.header.Height; h > inflight[p.header.Producer] {
-			inflight[p.header.Producer] = h
-		}
-	}
 	tips := f.mp.Tips()
 	for i, c := range blk.Cuts {
 		if i >= len(tips) {
 			break
 		}
 		have := tips[i]
-		if fl := inflight[wire.NodeID(i)]; fl > have {
+		if fl := f.partialTop[wire.NodeID(i)]; fl > have { // highest height with stripes in flight
 			have = fl
 		}
 		if c.Height > have {
@@ -481,7 +501,7 @@ func (f *FullNode) sweepDataPlane() {
 		}
 		conf := f.mp.ConfirmedHeight(p.header.Producer)
 		if p.header.Height <= conf {
-			delete(f.partials, h)
+			f.dropPartial(h, p)
 		}
 	}
 	const keepBlocks = 128

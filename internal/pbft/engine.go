@@ -3,6 +3,7 @@ package pbft
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -94,6 +95,10 @@ type Engine struct {
 	lastExec    uint64
 	lastPayload wire.Message // payload executed at lastExec (parent link)
 	instances   map[uint64]*instance
+	// seqs holds the keys of instances in ascending order. putInstance and
+	// dropInstance keep the two in step, so the loops that must walk the
+	// window in seq order never sort the map.
+	seqs []uint64
 
 	// view change state
 	inViewChange bool
@@ -183,7 +188,8 @@ func (e *Engine) Poke() {
 	if e.ctx == nil {
 		return
 	}
-	for _, seq := range e.sortedSeqs() {
+	var buf [32]uint64
+	for _, seq := range e.window(buf[:0]) {
 		if inst := e.instances[seq]; inst != nil && inst.pendingValid {
 			e.validateInstance(inst)
 		}
@@ -290,7 +296,7 @@ func (e *Engine) getInstance(seq, view uint64, digest crypto.Hash) *instance {
 		prepares: make(map[wire.NodeID]struct{}),
 		commits:  make(map[wire.NodeID]struct{}),
 	}
-	e.instances[seq] = inst
+	e.putInstance(inst)
 	return inst
 }
 
@@ -307,15 +313,36 @@ func (e *Engine) evictInstance(inst *instance) {
 	}
 }
 
-// sortedSeqs returns the live instance sequence numbers in ascending
-// order, so map iteration never leaks into message send order.
-func (e *Engine) sortedSeqs() []uint64 {
-	seqs := make([]uint64, 0, len(e.instances))
-	for seq := range e.instances {
-		seqs = append(seqs, seq)
+// putInstance stores inst under its seq, entering a new seq into the
+// ordered window.
+func (e *Engine) putInstance(inst *instance) {
+	if _, ok := e.instances[inst.seq]; !ok {
+		i, _ := slices.BinarySearch(e.seqs, inst.seq)
+		e.seqs = slices.Insert(e.seqs, i, inst.seq)
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return seqs
+	e.instances[inst.seq] = inst
+}
+
+// dropInstance deletes the instance at seq, if any, from the map and the
+// ordered window.
+func (e *Engine) dropInstance(seq uint64) {
+	delete(e.instances, seq)
+	if i, ok := slices.BinarySearch(e.seqs, seq); ok {
+		e.seqs = slices.Delete(e.seqs, i, i+1)
+	}
+}
+
+// window copies the live instance seqs, ascending, into buf and returns
+// it, so map iteration never leaks into message send order. Callers get a
+// snapshot, not the live slice: handlers reached from the loop body can
+// re-enter Poke (validateInstance → tryExecute → App.OnCommit → Poke) and
+// insert or delete instances, and the outer loop must still visit exactly
+// the seqs that were live when it started. A caller-owned stack array
+// keeps nested snapshots apart.
+//
+//predis:hotpath
+func (e *Engine) window(buf []uint64) []uint64 {
+	return append(buf, e.seqs...) //predis:allocok grows past the caller's stack array only for windows wider than it
 }
 
 // Receive implements env.Handler.
@@ -373,7 +400,7 @@ func (e *Engine) onPrePrepare(from wire.NodeID, m *PrePrepare) {
 		if inst.payload != nil || inst.prepared || inst.commitQuorum {
 			return
 		}
-		delete(e.instances, m.Seq)
+		e.dropInstance(m.Seq)
 		inst = e.getInstance(m.Seq, m.View, m.Digest)
 	}
 	if inst.ppSig == nil && inst.view == m.View {
@@ -590,7 +617,7 @@ func (e *Engine) tryExecute() {
 				return
 			}
 		}
-		delete(e.instances, inst.seq)
+		e.dropInstance(inst.seq)
 		delete(e.evidenced, inst.seq)
 		e.lastExec = inst.seq
 		e.lastPayload = inst.payload
@@ -614,7 +641,8 @@ func (e *Engine) startViewChange(newView uint64) {
 	e.resetTimersForViewChange()
 
 	vc := &ViewChange{NewViewNum: newView, LastExec: e.lastExec, Replica: e.cfg.Self}
-	for _, seq := range e.sortedSeqs() {
+	var buf [32]uint64
+	for _, seq := range e.window(buf[:0]) {
 		if inst := e.instances[seq]; inst.prepared && inst.payload != nil {
 			vc.Prepared = append(vc.Prepared, &PreparedEntry{
 				Seq: inst.seq, View: inst.view, Digest: inst.digest, Payload: inst.payload,
@@ -726,11 +754,11 @@ func (e *Engine) FastForward(height uint64, payload wire.Message) {
 	}
 	e.lastExec = height
 	e.lastPayload = payload
-	for seq := range e.instances {
-		if seq <= height {
-			delete(e.instances, seq)
-		}
+	n, _ := slices.BinarySearch(e.seqs, height+1)
+	for _, seq := range e.seqs[:n] {
+		delete(e.instances, seq)
 	}
+	e.seqs = slices.Delete(e.seqs, 0, n)
 	e.resetSuspicion()
 	e.Poke()
 }
@@ -807,14 +835,15 @@ func (e *Engine) adoptView(newView uint64) {
 	e.vcBackoff = 0
 	// Ascending-seq order: eviction callbacks can emit messages (spec
 	// discards), so map iteration order must not leak into the schedule.
-	for _, seq := range e.sortedSeqs() {
+	var buf [32]uint64
+	for _, seq := range e.window(buf[:0]) {
 		inst := e.instances[seq]
 		if inst.commitQuorum {
 			continue // committed instances survive view changes
 		}
 		// Drop stale vote state; the new leader re-proposes.
 		e.evictInstance(inst)
-		delete(e.instances, seq)
+		e.dropInstance(seq)
 	}
 	for v := range e.viewChanges {
 		if v <= newView {
