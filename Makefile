@@ -122,17 +122,21 @@ scale-smoke:
 	timeout 60 ./bin/predis-bench -quick -parallel 4 scale >/dev/null
 	@echo scale-smoke: quick sweep finished inside the 60s budget
 
-# bench-smoke: the CI gate — every kernel benchmark must run (once) and
-# the benchjson converter must accept the output. The E2E set rides
-# along at one iteration so regressions in experiment wiring surface
-# here, not only in the slower `make bench-e2e`.
+# bench-smoke: the CI gate — every kernel and stream row committed in
+# BENCH_kernels.json and BENCH_stream.json must run and stay within 5% of
+# its committed allocs/op (benchjson -compare; ns/op deltas are printed,
+# not gated, since host speed drifts). Kernels run 1000 iterations so one-time
+# warm-up (decode-matrix memo, buffer pools) does not count against the
+# steady-state rows; a stream iteration is a whole simulation, so one
+# suffices. The E2E set rides along at one iteration so regressions in
+# experiment wiring surface here, not only in the slower `make bench-e2e`.
 bench-smoke:
-	go test -run '^$$' -bench '$(KERNEL_BENCH)' -benchtime=1x -benchmem . \
-		| go run ./tools/benchjson -o /dev/null
+	go test -run '^$$' -bench '$(KERNEL_BENCH)' -benchtime=1000x -benchmem . \
+		| go run ./tools/benchjson -o /dev/null -compare BENCH_kernels.json
 	go test -run '^$$' -bench 'BenchmarkE2E' -benchtime=1x . \
 		| go run ./tools/benchjson -o /dev/null
-	go test -run '^$$' -bench 'BenchmarkStream' -benchtime=1x . \
-		| go run ./tools/benchjson -o /dev/null
+	go test -run '^$$' -bench 'BenchmarkStream' -benchtime=1x -benchmem . \
+		| go run ./tools/benchjson -o /dev/null -compare BENCH_stream.json
 
 # replay-smoke: the cross-process determinism gate — replays quickstart
 # via a race-built predis-bench at -parallel 1 and -parallel 2 in

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"predis/internal/crypto"
+	"predis/internal/merkle"
+	"predis/internal/types"
 	"predis/internal/wire"
 )
 
@@ -359,5 +361,29 @@ func TestPredisBlockHashZeroAlloc(t *testing.T) {
 	blk.Hash()
 	if n := testing.AllocsPerRun(100, func() { blk.Hash() }); n != 0 {
 		t.Fatalf("PredisBlock.Hash memo hit allocates %.1f objects, want 0", n)
+	}
+}
+
+// TestTxMerkleRootZeroAlloc: up to 64 transactions the root folds on the
+// stack, and on both sides of that width it is the tree root over the
+// transaction hashes.
+func TestTxMerkleRootZeroAlloc(t *testing.T) {
+	for _, n := range []int{1, 50, 64, 65, 130} {
+		txs := make([]*types.Transaction, n)
+		leaves := make([][]byte, n)
+		for i := range txs {
+			txs[i] = types.NewTransaction(3, uint64(i), 512, 0)
+			h := txs[i].Hash()
+			leaves[i] = h[:]
+		}
+		if TxMerkleRoot(txs) != merkle.NewTree(leaves).Root() {
+			t.Fatalf("n=%d: TxMerkleRoot differs from the tree over tx hashes", n)
+		}
+		if n > 64 {
+			continue
+		}
+		if a := testing.AllocsPerRun(100, func() { TxMerkleRoot(txs) }); a != 0 {
+			t.Fatalf("n=%d: TxMerkleRoot %v allocs/op, want 0", n, a)
+		}
 	}
 }

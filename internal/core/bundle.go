@@ -162,15 +162,23 @@ func (h *BundleHeader) EncodedSize() int {
 // Hash returns the header's identity: the digest of all fields except the
 // signature. Theorem 3.1 (bundle header consistency) rests on this hash
 // committing to TxRoot.
+//
+//predis:hotpath
 func (h *BundleHeader) Hash() crypto.Hash {
-	if h.hashSet {
-		return h.hash
+	if !h.hashSet {
+		h.hash = h.computeHash()
+		h.hashSet = true
 	}
+	return h.hash
+}
+
+// computeHash encodes the unsigned fields and digests them.
+//
+//predis:coldpath
+func (h *BundleHeader) computeHash() crypto.Hash {
 	e := wire.NewEncoder(h.EncodedSize())
 	h.encodeUnsigned(e)
-	h.hash = crypto.HashBytes(e.Bytes())
-	h.hashSet = true
-	return h.hash
+	return crypto.HashBytes(e.Bytes())
 }
 
 // Bundle is a header plus its transaction body.
@@ -230,12 +238,21 @@ func PackBundleStriped(signer crypto.Signer, producer wire.NodeID, parent *Bundl
 	return &Bundle{Header: h, Txs: txs}
 }
 
-// TxMerkleRoot computes the Merkle root over transaction hashes.
+// TxMerkleRoot computes the Merkle root over transaction hashes. Up to 64
+// transactions (a paper-default 50-tx bundle included) it hashes the
+// leaves into a stack buffer and allocates nothing.
+//
+//predis:hotpath
 func TxMerkleRoot(txs []*types.Transaction) crypto.Hash {
 	if len(txs) == 0 {
 		return crypto.ZeroHash
 	}
-	leaves := make([]crypto.Hash, len(txs))
+	var buf [64]crypto.Hash
+	leaves := buf[:]
+	if len(txs) > len(buf) {
+		leaves = make([]crypto.Hash, len(txs)) //predis:allocok wider than the stack buffer
+	}
+	leaves = leaves[:len(txs)]
 	for i, t := range txs {
 		h := t.Hash()
 		leaves[i] = merkle.HashLeaf(h[:])

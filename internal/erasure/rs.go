@@ -251,22 +251,18 @@ func (c *Coder) checkShards(shards [][]byte, all bool) error {
 }
 
 // Split pads data to a multiple of the shard count and slices it into
-// data+parity equal shards (parity shards allocated but not yet encoded).
-// It returns the shards; the original length must be remembered by the
-// caller (Join takes it back).
+// data+parity equal shards (parity shards zeroed but not yet encoded).
+// All shards share one buffer; each is cut with its capacity capped at
+// its own length, so an append to one shard reallocates instead of
+// overwriting its neighbour. It returns the shards; the original length
+// must be remembered by the caller (Join takes it back).
 func (c *Coder) Split(data []byte) [][]byte {
-	shardSize := (len(data) + c.data - 1) / c.data
-	if shardSize == 0 {
-		shardSize = 1
-	}
+	shardSize := c.StripeSize(len(data))
 	shards := make([][]byte, c.TotalShards())
-	padded := make([]byte, shardSize*c.data)
-	copy(padded, data)
-	for d := 0; d < c.data; d++ {
-		shards[d] = padded[d*shardSize : (d+1)*shardSize]
-	}
-	for p := 0; p < c.parity; p++ {
-		shards[c.data+p] = make([]byte, shardSize)
+	buf := make([]byte, shardSize*len(shards))
+	copy(buf, data)
+	for i := range shards {
+		shards[i] = buf[i*shardSize : (i+1)*shardSize : (i+1)*shardSize]
 	}
 	return shards
 }

@@ -229,6 +229,35 @@ func TestSplitTinyPayload(t *testing.T) {
 	}
 }
 
+func TestSplitShardsCannotOverrun(t *testing.T) {
+	c := mustCoder(t, 4, 2)
+	orig := []byte("one buffer backs every shard of this payload")
+	shards := c.Split(orig)
+	if err := c.Encode(shards); err != nil {
+		t.Fatal(err)
+	}
+	before := make([][]byte, len(shards))
+	for i, s := range shards {
+		before[i] = append([]byte(nil), s...)
+	}
+	for k := range shards {
+		if cap(shards[k]) != len(shards[k]) {
+			t.Fatalf("shard %d: cap %d exceeds len %d", k, cap(shards[k]), len(shards[k]))
+		}
+		grown := append(shards[k], 0xee, 0xee, 0xee)
+		grown[0] ^= 0xff // writes the grown copy, never shard k itself
+		for i, s := range shards {
+			if !bytes.Equal(s, before[i]) {
+				t.Fatalf("append to shard %d changed shard %d", k, i)
+			}
+		}
+	}
+	out, err := c.Join(shards, len(orig))
+	if err != nil || !bytes.Equal(out, orig) {
+		t.Fatalf("roundtrip after appends: %q, %v", out, err)
+	}
+}
+
 func TestStripeSize(t *testing.T) {
 	c := mustCoder(t, 4, 2)
 	cases := []struct{ in, want int }{{0, 1}, {1, 1}, {4, 1}, {5, 2}, {100, 25}, {101, 26}}

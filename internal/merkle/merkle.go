@@ -13,6 +13,14 @@
 // prefixes to rule out second-preimage attacks that reinterpret an interior
 // node as a leaf. Odd nodes are promoted to the next level unchanged (no
 // duplication), so the tree of n leaves has the canonical shape for any n.
+//
+// A Tree keeps every level in one slab of digests, leaf level first: the n
+// leaf digests fill [0, n), the ⌈n/2⌉ digests of level 1 follow them, and
+// so on up to the root, which is the slab's last element. Level offsets
+// follow from n alone, so building a tree costs one slab and a proof is a
+// walk over it. Root and RootOfHashes never build a tree: they fold a
+// level in place in a stack buffer of up to 64 digests and touch the heap
+// only for wider inputs.
 package merkle
 
 import (
@@ -35,31 +43,25 @@ func HashLeaf(data []byte) crypto.Hash {
 	return crypto.HashConcat(leafPrefix, data)
 }
 
-// HashLeaves fills dst[i] = HashLeaf(leaves[i]) and returns dst,
-// allocating it when nil. It is the batched leaf kernel: one call per
-// stripe set or transaction list.
-func HashLeaves(dst []crypto.Hash, leaves [][]byte) []crypto.Hash {
-	if dst == nil {
-		dst = make([]crypto.Hash, len(leaves))
-	}
-	for i, l := range leaves {
-		dst[i] = HashLeaf(l)
-	}
-	return dst
-}
-
 // hashNode combines two child digests.
 func hashNode(l, r crypto.Hash) crypto.Hash {
 	return crypto.HashConcat(nodePrefix, l[:], r[:])
 }
 
+// stackLeaves is the widest leaf level Root and RootOfHashes fold in a
+// stack buffer; 64 covers a 50-tx bundle and a stream block's bundle list.
+const stackLeaves = 64
+
 // Root computes the Merkle root of the given leaf payloads without
 // materializing the whole tree. The root of zero leaves is the zero hash.
+//
+//predis:hotpath
 func Root(leaves [][]byte) crypto.Hash {
 	if len(leaves) == 0 {
 		return crypto.ZeroHash
 	}
-	level := make([]crypto.Hash, len(leaves))
+	var buf [stackLeaves]crypto.Hash
+	level := scratch(&buf, len(leaves))
 	for i, l := range leaves {
 		level[i] = HashLeaf(l)
 	}
@@ -67,64 +69,91 @@ func Root(leaves [][]byte) crypto.Hash {
 }
 
 // RootOfHashes computes the Merkle root over pre-hashed leaves. The caller
-// must have produced the digests with HashLeaf.
+// must have produced the digests with HashLeaf; leaves is not modified.
+//
+//predis:hotpath
 func RootOfHashes(leaves []crypto.Hash) crypto.Hash {
 	if len(leaves) == 0 {
 		return crypto.ZeroHash
 	}
-	level := make([]crypto.Hash, len(leaves))
+	var buf [stackLeaves]crypto.Hash
+	level := scratch(&buf, len(leaves))
 	copy(level, leaves)
 	return rootOfLevel(level)
 }
 
+// scratch returns n digests of room: buf's when they fit, else the heap's.
+func scratch(buf *[stackLeaves]crypto.Hash, n int) []crypto.Hash {
+	if n > len(buf) {
+		return make([]crypto.Hash, n) //predis:allocok wider than the stack buffer
+	}
+	return buf[:n]
+}
+
+// rootOfLevel folds a non-empty leaf level in place and returns the root.
 func rootOfLevel(level []crypto.Hash) crypto.Hash {
-	for len(level) > 1 {
-		next := level[:0]
-		for i := 0; i < len(level); i += 2 {
-			if i+1 < len(level) {
-				next = append(next, hashNode(level[i], level[i+1]))
+	for n := len(level); n > 1; n = (n + 1) / 2 {
+		for i := 0; i < n; i += 2 {
+			if i+1 < n {
+				level[i/2] = hashNode(level[i], level[i+1])
 			} else {
-				next = append(next, level[i]) // promote odd node
+				level[i/2] = level[i] // promote odd node
 			}
 		}
-		level = next
 	}
 	return level[0]
 }
 
 // Tree is a fully materialized Merkle tree supporting proof generation.
+// Its levels share one slab (see the package comment).
 type Tree struct {
-	levels [][]crypto.Hash // levels[0] = leaf digests, last = [root]
-	n      int
+	nodes []crypto.Hash // level 0 at [0, n), each parent level after its children; root last
+	n     int
 }
 
-// NewTree builds a tree over the leaf payloads.
+// slabLen returns how many digests a tree of n leaves holds over all its
+// levels.
+func slabLen(n int) int {
+	total := n
+	for ; n > 1; n = (n + 1) / 2 {
+		total += (n + 1) / 2
+	}
+	return total
+}
+
+// NewTree builds a tree over the leaf payloads, hashing them straight into
+// the slab.
 func NewTree(leaves [][]byte) *Tree {
-	return NewTreeFromHashes(HashLeaves(nil, leaves))
+	t := &Tree{nodes: make([]crypto.Hash, slabLen(len(leaves))), n: len(leaves)}
+	for i, l := range leaves {
+		t.nodes[i] = HashLeaf(l)
+	}
+	t.build()
+	return t
 }
 
 // NewTreeFromHashes builds a tree over pre-hashed leaves (see HashLeaf).
 func NewTreeFromHashes(hashes []crypto.Hash) *Tree {
-	t := &Tree{n: len(hashes)}
-	if len(hashes) == 0 {
-		return t
-	}
-	level := make([]crypto.Hash, len(hashes))
-	copy(level, hashes)
-	t.levels = append(t.levels, level)
-	for len(level) > 1 {
-		next := make([]crypto.Hash, 0, (len(level)+1)/2)
-		for i := 0; i < len(level); i += 2 {
-			if i+1 < len(level) {
-				next = append(next, hashNode(level[i], level[i+1]))
+	t := &Tree{nodes: make([]crypto.Hash, slabLen(len(hashes))), n: len(hashes)}
+	copy(t.nodes, hashes)
+	t.build()
+	return t
+}
+
+// build hashes every level above the leaves into the slab.
+func (t *Tree) build() {
+	off := 0
+	for n := t.n; n > 1; n = (n + 1) / 2 {
+		level, parent := t.nodes[off:off+n], t.nodes[off+n:]
+		for i := 0; i < n; i += 2 {
+			if i+1 < n {
+				parent[i/2] = hashNode(level[i], level[i+1])
 			} else {
-				next = append(next, level[i])
+				parent[i/2] = level[i] // promote odd node
 			}
 		}
-		t.levels = append(t.levels, next)
-		level = next
+		off += n
 	}
-	return t
 }
 
 // Len returns the number of leaves.
@@ -135,8 +164,7 @@ func (t *Tree) Root() crypto.Hash {
 	if t.n == 0 {
 		return crypto.ZeroHash
 	}
-	top := t.levels[len(t.levels)-1]
-	return top[0]
+	return t.nodes[len(t.nodes)-1]
 }
 
 // Proof returns the sibling path for leaf i, ordered leaf-to-root. Promoted
@@ -145,17 +173,25 @@ func (t *Tree) Proof(i int) ([]crypto.Hash, error) {
 	if i < 0 || i >= t.n {
 		return nil, ErrIndexOutOfRange
 	}
-	proof := make([]crypto.Hash, 0, bits.Len(uint(t.n)))
-	idx := i
-	for lvl := 0; lvl < len(t.levels)-1; lvl++ {
-		level := t.levels[lvl]
-		sib := idx ^ 1
-		if sib < len(level) {
-			proof = append(proof, level[sib])
+	return t.AppendProof(make([]crypto.Hash, 0, bits.Len(uint(t.n))), i)
+}
+
+// AppendProof appends the sibling path for leaf i (as Proof returns it) to
+// dst and returns the extended slice; dst is returned unchanged with
+// ErrIndexOutOfRange for an index outside the tree.
+func (t *Tree) AppendProof(dst []crypto.Hash, i int) ([]crypto.Hash, error) {
+	if i < 0 || i >= t.n {
+		return dst, ErrIndexOutOfRange
+	}
+	off, idx := 0, i
+	for n := t.n; n > 1; n = (n + 1) / 2 {
+		if sib := idx ^ 1; sib < n {
+			dst = append(dst, t.nodes[off+sib])
 		}
+		off += n
 		idx >>= 1
 	}
-	return proof, nil
+	return dst, nil
 }
 
 // ProofSize returns the wire size in bytes of a proof for a tree of n

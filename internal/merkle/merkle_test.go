@@ -74,6 +74,117 @@ func TestRootOfHashesMatches(t *testing.T) {
 	}
 }
 
+// refTree is the level-by-level construction the slab Tree replaced: one
+// slice per level, odd nodes promoted. It is kept as the reference the
+// slab layout must reproduce.
+func refTree(leaves [][]byte) [][]crypto.Hash {
+	level := make([]crypto.Hash, len(leaves))
+	for i, l := range leaves {
+		level[i] = HashLeaf(l)
+	}
+	levels := [][]crypto.Hash{level}
+	for len(level) > 1 {
+		next := make([]crypto.Hash, 0, (len(level)+1)/2)
+		for i := 0; i < len(level); i += 2 {
+			if i+1 < len(level) {
+				next = append(next, hashNode(level[i], level[i+1]))
+			} else {
+				next = append(next, level[i])
+			}
+		}
+		levels = append(levels, next)
+		level = next
+	}
+	return levels
+}
+
+// refProof is the sibling path of leaf i in a refTree.
+func refProof(levels [][]crypto.Hash, i int) []crypto.Hash {
+	var proof []crypto.Hash
+	for _, level := range levels[:len(levels)-1] {
+		if sib := i ^ 1; sib < len(level) {
+			proof = append(proof, level[sib])
+		}
+		i >>= 1
+	}
+	return proof
+}
+
+func TestSlabTreeMatchesLevelTree(t *testing.T) {
+	for n := 1; n <= 70; n++ {
+		ls := leaves(n)
+		ref := refTree(ls)
+		root := ref[len(ref)-1][0]
+		tr := NewTree(ls)
+		if tr.Root() != root || Root(ls) != root || RootOfHashes(ref[0]) != root {
+			t.Fatalf("n=%d: root differs from the level-by-level tree", n)
+		}
+		if NewTreeFromHashes(ref[0]).Root() != root {
+			t.Fatalf("n=%d: NewTreeFromHashes root differs", n)
+		}
+		for i := 0; i < n; i++ {
+			want := refProof(ref, i)
+			got, err := tr.Proof(i)
+			if err != nil {
+				t.Fatalf("n=%d i=%d: %v", n, i, err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("n=%d i=%d: proof length %d, want %d", n, i, len(got), len(want))
+			}
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("n=%d i=%d: proof element %d differs", n, i, k)
+				}
+			}
+			if !Verify(root, ls[i], i, n, got) {
+				t.Fatalf("n=%d i=%d: proof rejected", n, i)
+			}
+		}
+	}
+}
+
+func TestAppendProof(t *testing.T) {
+	tr := NewTree(leaves(11))
+	prefix := crypto.HashBytes([]byte("prefix"))
+	dst := []crypto.Hash{prefix}
+	got, err := tr.AppendProof(dst, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := tr.Proof(6)
+	if got[0] != prefix || len(got) != 1+len(want) {
+		t.Fatalf("AppendProof kept %d elements, want prefix plus %d", len(got), len(want))
+	}
+	for k := range want {
+		if got[1+k] != want[k] {
+			t.Fatalf("element %d differs from Proof", k)
+		}
+	}
+	if out, err := tr.AppendProof(dst, 11); err != ErrIndexOutOfRange || len(out) != 1 {
+		t.Fatalf("out-of-range index: len %d, err %v", len(out), err)
+	}
+}
+
+var rootSink crypto.Hash
+
+func TestRootOfHashesZeroAlloc(t *testing.T) {
+	ls := leaves(stackLeaves)
+	hs := make([]crypto.Hash, len(ls))
+	for i, l := range ls {
+		hs[i] = HashLeaf(l)
+	}
+	want := hs[0]
+	if a := testing.AllocsPerRun(100, func() { rootSink = RootOfHashes(hs) }); a != 0 {
+		t.Fatalf("RootOfHashes over %d leaves: %v allocs/op, want 0", len(hs), a)
+	}
+	if hs[0] != want {
+		t.Fatal("RootOfHashes modified its input")
+	}
+	if a := testing.AllocsPerRun(100, func() { rootSink = Root(ls) }); a != 0 {
+		t.Fatalf("Root over %d leaves: %v allocs/op, want 0", len(ls), a)
+	}
+}
+
 func TestProofsAllSizes(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 16, 17, 31, 50} {
 		ls := leaves(n)

@@ -41,9 +41,9 @@ type Distributor struct {
 	// the spans on arrival/completion). Nil disables tracing at zero cost.
 	trace *obs.Tracer
 
-	// cache avoids encoding the same bundle twice (StripeRoot hook +
-	// dissemination).
-	cacheKey crypto.Hash
+	// cacheSet avoids encoding this node's own bundle twice (StripeRoot
+	// hook + dissemination); it serves the bundle whose header commits to
+	// its Root.
 	cacheSet *StripeSet
 
 	// spec tracks speculative block pushes (streaming commit), keyed by
@@ -119,7 +119,6 @@ func (d *Distributor) StripeRoot(txs []*types.Transaction) crypto.Hash {
 	if err != nil {
 		return crypto.ZeroHash
 	}
-	d.cacheKey = core.TxMerkleRoot(txs)
 	d.cacheSet = set
 	return set.Root
 }
@@ -135,7 +134,7 @@ func (d *Distributor) OnBundleStored(b *core.Bundle) {
 	// deterministic in Txs, so the shards are identical), then the local
 	// StripeRoot-hook cache, then a fresh encode.
 	set, _ := b.StripeCache().(*StripeSet)
-	if set == nil && d.cacheSet != nil && d.cacheKey == b.Header.TxRoot {
+	if set == nil && d.cacheSet != nil && d.cacheSet.Root == b.Header.StripeRoot {
 		set = d.cacheSet
 	}
 	if set == nil {
@@ -147,7 +146,7 @@ func (d *Distributor) OnBundleStored(b *core.Bundle) {
 		}
 	}
 	b.SetStripeCache(set)
-	d.cacheSet, d.cacheKey = nil, crypto.ZeroHash
+	d.cacheSet = nil
 	msg, err := set.Stripe(b.Header, int(d.self))
 	if err != nil {
 		d.ctx.Logf("multizone: stripe extract: %v", err)

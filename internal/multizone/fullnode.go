@@ -120,12 +120,28 @@ type relayerInfo struct {
 // are not active).
 func (r *relayerInfo) active() bool { return len(r.stripes) > 0 }
 
+// inlineStripes is how many stripe slots a partialBundle carries inline,
+// so a group of up to 16 consensus nodes costs one allocation per bundle.
+const inlineStripes = 16
+
 // partialBundle accumulates stripes for one bundle header.
 type partialBundle struct {
 	header  core.BundleHeader
-	stripes []*StripeMsg
+	stripes []*StripeMsg // indexed by stripe; inline[:n_c] unless n_c > inlineStripes
+	inline  [inlineStripes]*StripeMsg
 	have    int
 	done    bool
+}
+
+// newPartialBundle starts collecting stripes for header among nc.
+func newPartialBundle(header core.BundleHeader, nc int) *partialBundle {
+	p := &partialBundle{header: header}
+	if nc <= len(p.inline) {
+		p.stripes = p.inline[:nc]
+	} else {
+		p.stripes = make([]*StripeMsg, nc)
+	}
+	return p
 }
 
 // FullNode is a Multi-Zone full node: it subscribes to stripes, forwards

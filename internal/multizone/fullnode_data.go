@@ -56,7 +56,7 @@ func (f *FullNode) onStripe(from wire.NodeID, m *StripeMsg) {
 			f.recordOffense(from)
 			return
 		}
-		p = &partialBundle{header: m.Header, stripes: make([]*StripeMsg, f.cfg.NC)}
+		p = newPartialBundle(m.Header, f.cfg.NC)
 		f.addPartial(headerHash, p)
 	}
 	p.stripes[m.Index] = m
@@ -77,7 +77,8 @@ func (f *FullNode) onStripe(from wire.NodeID, m *StripeMsg) {
 		}
 		p.done = true
 		f.noteStarvation(p)
-		p.stripes = nil // free shard memory; header stays to dedupe
+		clear(p.stripes) // free shard memory; header stays to dedupe
+		p.stripes = nil
 		f.storeBundle(b, false)
 		f.tryCompleteBlocks()
 	}

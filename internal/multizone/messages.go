@@ -6,7 +6,6 @@ import (
 
 	"predis/internal/core"
 	"predis/internal/crypto"
-	"predis/internal/merkle"
 	"predis/internal/wire"
 )
 
@@ -95,8 +94,6 @@ func decodeStripe(d *wire.Decoder) (wire.Message, error) {
 	}
 	return m, d.Err()
 }
-
-var _ = merkle.Verify // keep import stable for documentation references
 
 // TamperShard implements the fault injector's StripeTamperer interface
 // structurally (faults cannot import this package: multizone's tests

@@ -11,6 +11,7 @@ package multizone
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"predis/internal/core"
 	"predis/internal/crypto"
@@ -56,18 +57,22 @@ func encodeBody(txs []*types.Transaction) []byte {
 	return e.Bytes()
 }
 
-// StripeSet is the encoded form of one bundle: the shards plus the Merkle
-// tree over them.
+// StripeSet is the encoded form of one bundle: the shards plus every
+// stripe's Merkle proof against Root.
 type StripeSet struct {
 	Shards     [][]byte
 	PayloadLen int
 	Root       crypto.Hash
-	tree       *merkle.Tree
+	// proofs holds stripe i's sibling path at [i*proofStride, +its length),
+	// laid out once at Encode so Stripe never walks the tree.
+	proofs      []crypto.Hash
+	proofStride int
 }
 
-// Encode erasure-codes a bundle body into n_c shards and builds the stripe
-// Merkle tree. Call it before signing the header so StripeRoot can be
-// embedded (core.Options.StripeRoot does this).
+// Encode erasure-codes a bundle body into n_c shards, builds the stripe
+// Merkle tree and lays out every stripe's proof. Call it before signing
+// the header so StripeRoot can be embedded (the distributor's StripeRoot
+// hook does this).
 func (s *Striper) Encode(txs []*types.Transaction) (*StripeSet, error) {
 	body := encodeBody(txs)
 	shards := s.coder.Split(body)
@@ -75,30 +80,45 @@ func (s *Striper) Encode(txs []*types.Transaction) (*StripeSet, error) {
 		return nil, err
 	}
 	tree := merkle.NewTree(shards)
+	stride := bits.Len(uint(len(shards) - 1)) // the tree's depth: no proof is longer
+	proofs := make([]crypto.Hash, len(shards)*stride)
+	for i := range shards {
+		lo := i * stride
+		_, _ = tree.AppendProof(proofs[lo:lo:lo+stride], i) // i is in range: no error
+	}
 	return &StripeSet{
-		Shards:     shards,
-		PayloadLen: len(body),
-		Root:       tree.Root(),
-		tree:       tree,
+		Shards:      shards,
+		PayloadLen:  len(body),
+		Root:        tree.Root(),
+		proofs:      proofs,
+		proofStride: stride,
 	}, nil
 }
 
 // Stripe extracts stripe i as a wire message for the given bundle header.
+// The message shares the set's shard and proof memory; receivers treat
+// both as read-only.
 func (set *StripeSet) Stripe(header core.BundleHeader, i int) (*StripeMsg, error) {
 	if i < 0 || i >= len(set.Shards) {
 		return nil, fmt.Errorf("multizone: stripe index %d out of range", i)
-	}
-	proof, err := set.tree.Proof(i)
-	if err != nil {
-		return nil, err
 	}
 	return &StripeMsg{
 		Header:     header,
 		Index:      uint8(i),
 		PayloadLen: uint32(set.PayloadLen),
 		Shard:      set.Shards[i],
-		Proof:      proof,
+		Proof:      set.proof(i),
 	}, nil
+}
+
+// proof returns stripe i's slice of the proof slab, capped so an append
+// cannot reach stripe i+1's path.
+//
+//predis:hotpath
+func (set *StripeSet) proof(i int) []crypto.Hash {
+	lo := i * set.proofStride
+	hi := lo + merkle.ProofSize(len(set.Shards), i)/crypto.HashSize
+	return set.proofs[lo:hi:hi]
 }
 
 // Errors from stripe verification and reassembly.
@@ -130,14 +150,12 @@ func (s *Striper) VerifyStripe(m *StripeMsg) error {
 // same header. stripes is indexed by stripe index; nil entries are
 // missing.
 func (s *Striper) Reassemble(header core.BundleHeader, stripes []*StripeMsg) (*core.Bundle, error) {
-	shards := make([][]byte, s.nc)
 	have := 0
 	payloadLen := -1
-	for i, st := range stripes {
+	for _, st := range stripes {
 		if st == nil {
 			continue
 		}
-		shards[i] = st.Shard
 		have++
 		if payloadLen < 0 {
 			payloadLen = int(st.PayloadLen)
@@ -146,15 +164,13 @@ func (s *Striper) Reassemble(header core.BundleHeader, stripes []*StripeMsg) (*c
 	if have < s.MinStripes() || payloadLen < 0 {
 		return nil, fmt.Errorf("%w: have %d, need %d", ErrStripeCount, have, s.MinStripes())
 	}
-	// With enough stripes in hand, a bundle another node already
-	// reconstructed from a set containing one of them is exactly what
-	// decoding would produce: every valid n_c−f subset yields the same
-	// body (Reed–Solomon), and the memo was checked against the header's
-	// commitments before caching.
-	headerHash := header.Hash()
-	for _, st := range stripes {
-		if st != nil && st.assembled != nil && st.assembled.Header.Hash() == headerHash {
-			return st.assembled, nil
+	if b := assembledMemo(header, stripes); b != nil {
+		return b, nil
+	}
+	shards := make([][]byte, s.nc)
+	for i, st := range stripes {
+		if st != nil {
+			shards[i] = st.Shard
 		}
 	}
 	// Only the data shards are needed to Join the body back together;
@@ -183,17 +199,19 @@ func (s *Striper) Reassemble(header core.BundleHeader, stripes []*StripeMsg) (*c
 	return b, nil
 }
 
-// StripeRootHook returns a function suitable for core.Options.StripeRoot:
-// it encodes the body and returns the stripe Merkle root so the producer
-// can commit to it before signing. The encoding is recomputed by the
-// distributor at dissemination time; for the bundle sizes in the paper
-// (25 KB) this costs microseconds (§V-B).
-func (s *Striper) StripeRootHook() func(txs []*types.Transaction) crypto.Hash {
-	return func(txs []*types.Transaction) crypto.Hash {
-		set, err := s.Encode(txs)
-		if err != nil {
-			return crypto.ZeroHash
+// assembledMemo returns the bundle another node already reconstructed
+// from a stripe set containing one of these stripes, or nil. With enough
+// stripes in hand that bundle is exactly what decoding would produce:
+// every valid n_c−f subset yields the same body (Reed–Solomon), and the
+// memo was checked against the header's commitments before caching.
+//
+//predis:hotpath
+func assembledMemo(header core.BundleHeader, stripes []*StripeMsg) *core.Bundle {
+	headerHash := header.Hash()
+	for _, st := range stripes {
+		if st != nil && st.assembled != nil && st.assembled.Header.Hash() == headerHash {
+			return st.assembled
 		}
-		return set.Root
 	}
+	return nil
 }

@@ -1,12 +1,14 @@
 package multizone
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"predis/internal/core"
 	"predis/internal/crypto"
+	"predis/internal/merkle"
 	"predis/internal/types"
 	"predis/internal/wire"
 )
@@ -110,12 +112,111 @@ func TestVerifyStripeRejectsTampering(t *testing.T) {
 	}
 }
 
-func TestStripeRootHookMatchesEncode(t *testing.T) {
+// TestStripeSetProofs: the proofs Encode lays out in one slab are the
+// tree's sibling paths, each capped so an append cannot reach its
+// neighbour.
+func TestStripeSetProofs(t *testing.T) {
+	for _, nc := range []int{1, 2, 4, 5, 7, 8, 16, 25} {
+		s, err := NewStriper(nc, (nc-1)/3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set, err := s.Encode(mkTxs(9, uint64(nc)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree := merkle.NewTree(set.Shards)
+		if tree.Root() != set.Root {
+			t.Fatalf("nc=%d: set root differs from the tree over its shards", nc)
+		}
+		for i := 0; i < nc; i++ {
+			want, _ := tree.Proof(i)
+			got := set.proof(i)
+			if !slices.Equal(got, want) || cap(got) != len(got) {
+				t.Fatalf("nc=%d i=%d: proof %d elements (cap %d), want %d", nc, i, len(got), cap(got), len(want))
+			}
+			if !merkle.Verify(set.Root, set.Shards[i], i, nc, got) {
+				t.Fatalf("nc=%d i=%d: proof rejected", nc, i)
+			}
+			_ = append(got, crypto.Hash{0xff})
+		}
+		for i := 0; i < nc; i++ {
+			if want, _ := tree.Proof(i); !slices.Equal(set.proof(i), want) {
+				t.Fatalf("nc=%d: an append to a proof overwrote stripe %d's", nc, i)
+			}
+		}
+	}
+}
+
+var proofSink []crypto.Hash
+
+func TestStripeProofZeroAlloc(t *testing.T) {
+	s, _ := NewStriper(7, 2)
+	set, err := s.Encode(mkTxs(20, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(100, func() { proofSink = set.proof(5) }); a != 0 {
+		t.Fatalf("StripeSet proof slice: %v allocs/op, want 0", a)
+	}
+}
+
+var bundleSink *core.Bundle
+
+// TestReassembleMemoHitZeroAlloc: once one full node reassembled a bundle,
+// another holding any of its stripes gets the memo without allocating.
+func TestReassembleMemoHitZeroAlloc(t *testing.T) {
 	s, _ := NewStriper(4, 1)
-	txs := mkTxs(5, 0)
+	suite := crypto.NewSimSuite(4, 80)
+	txs := mkTxs(50, 0)
 	set, _ := s.Encode(txs)
-	if got := s.StripeRootHook()(txs); got != set.Root {
-		t.Fatal("StripeRootHook root differs from Encode")
+	b := core.PackBundleStriped(suite.Signer(0), 0, nil, txs, make(core.TipList, 4), set.Root)
+	all := make([]*StripeMsg, 4)
+	for i := range all {
+		all[i], _ = set.Stripe(b.Header, i)
+	}
+	first, err := s.Reassemble(b.Header, []*StripeMsg{all[0], all[1], all[2], nil})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := []*StripeMsg{nil, all[1], all[2], all[3]}
+	if a := testing.AllocsPerRun(100, func() {
+		bundleSink, err = s.Reassemble(b.Header, other)
+	}); a != 0 {
+		t.Fatalf("Reassemble on a memo hit: %v allocs/op, want 0", a)
+	}
+	if err != nil || bundleSink != first {
+		t.Fatalf("memo hit returned %p, %v; want the first reassembly %p", bundleSink, err, first)
+	}
+}
+
+// TestDistributorStripeCache: the set the StripeRoot hook encoded serves
+// the bundle whose header commits to its root, and only that bundle.
+func TestDistributorStripeCache(t *testing.T) {
+	striper, _ := NewStriper(4, 1)
+	d := NewDistributor(2, 4, striper, 0)
+	d.ctx = &sendLog{}
+	d.subscribers[50] = true
+	d.subsChanged()
+	signer := crypto.NewSimSuite(4, 81).Signer(2)
+
+	own := mkTxs(5, 0)
+	root := d.StripeRoot(own)
+	cached := d.cacheSet
+	b := core.PackBundleStriped(signer, 2, nil, own, make(core.TipList, 4), root)
+	d.OnBundleStored(b)
+	if b.StripeCache() != cached || d.cacheSet != nil {
+		t.Fatal("own bundle did not take the hook's stripe set")
+	}
+
+	d.StripeRoot(own)
+	other := mkTxs(5, 100)
+	set, _ := striper.Encode(other)
+	peer := core.PackBundleStriped(signer, 2, nil, other, make(core.TipList, 4), set.Root)
+	d.OnBundleStored(peer)
+	got, _ := peer.StripeCache().(*StripeSet)
+	if got == nil || got == cached || got.Root != set.Root {
+		t.Fatal("a bundle with another stripe root took the cached set")
 	}
 }
 

@@ -5,8 +5,9 @@
 package node
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"predis/internal/consensus"
@@ -146,6 +147,16 @@ type Node struct {
 	predis *core.Predis
 	pool   *txpool.App
 	mb     *microblock.App
+
+	// replyScratch is execCommit's reused list of committed (client, seq)
+	// pairs, stably sorted by client to group one block's replies.
+	replyScratch []clientSeq
+}
+
+// clientSeq names one committed transaction in a client reply.
+type clientSeq struct {
+	client wire.NodeID
+	seq    uint64
 }
 
 var _ env.Handler = (*Node)(nil)
@@ -391,22 +402,30 @@ func (n *Node) execCommit(height uint64, txs []*types.Transaction, bundles [][]*
 	if !n.cfg.ReplyToClients || n.ctx == nil {
 		return
 	}
-	// One batched BlockReply per client (replies are real traffic; §III-F).
-	// Send in client-ID order so map iteration never affects the wire.
-	byClient := make(map[wire.NodeID][]uint64)
-	clients := make([]wire.NodeID, 0, 8)
+	// One batched BlockReply per client (replies are real traffic; §III-F),
+	// sent in client-ID order, each listing its seqs in block order: a
+	// stable sort by client groups them so, and one seq slab per block
+	// backs every reply's run.
+	pairs := n.replyScratch[:0]
 	for _, tx := range txs {
-		if _, ok := byClient[tx.Client]; !ok {
-			clients = append(clients, tx.Client)
-		}
-		byClient[tx.Client] = append(byClient[tx.Client], tx.Seq)
+		pairs = append(pairs, clientSeq{tx.Client, tx.Seq})
 	}
-	sort.Slice(clients, func(i, j int) bool { return clients[i] < clients[j] })
-	for _, client := range clients {
-		n.ctx.Send(client, &types.BlockReply{
+	slices.SortStableFunc(pairs, func(a, b clientSeq) int { return cmp.Compare(a.client, b.client) })
+	n.replyScratch = pairs
+	seqs := make([]uint64, len(pairs))
+	for i, p := range pairs {
+		seqs[i] = p.seq
+	}
+	for lo := 0; lo < len(pairs); {
+		hi := lo + 1
+		for hi < len(pairs) && pairs[hi].client == pairs[lo].client {
+			hi++
+		}
+		n.ctx.Send(pairs[lo].client, &types.BlockReply{
 			Height:  height,
 			Replica: n.cfg.Self,
-			Seqs:    byClient[client],
+			Seqs:    seqs[lo:hi:hi],
 		})
+		lo = hi
 	}
 }

@@ -2,11 +2,15 @@ package node
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
 	"predis/internal/core"
 	"predis/internal/crypto"
+	"predis/internal/env"
 	"predis/internal/simnet"
 	"predis/internal/types"
 	"predis/internal/wire"
@@ -514,5 +518,57 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 	if c1[0] == 0 {
 		t.Fatal("no commits to compare")
+	}
+}
+
+// replyLog is a bare env.Context that records the client replies a node
+// sends.
+type replyLog struct {
+	to      []wire.NodeID
+	replies []*types.BlockReply
+}
+
+func (c *replyLog) ID() wire.NodeID                       { return 1 }
+func (c *replyLog) Now() time.Time                        { return simnet.Epoch }
+func (c *replyLog) After(time.Duration, func()) env.Timer { return nil }
+func (c *replyLog) Rand() *rand.Rand                      { return nil }
+func (c *replyLog) Logf(string, ...any)                   {}
+func (c *replyLog) Send(to wire.NodeID, m wire.Message) {
+	c.to = append(c.to, to)
+	c.replies = append(c.replies, m.(*types.BlockReply))
+}
+
+// TestExecCommitRepliesMatchMapAndSort: the grouped replies equal the
+// map-of-slices, sorted-client construction on random blocks — one reply
+// per client in ascending ID order, each listing its seqs in block order.
+func TestExecCommitRepliesMatchMapAndSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	ctx := &replyLog{}
+	n := &Node{cfg: Config{Self: 2, ReplyToClients: true}, ctx: ctx}
+	for block := uint64(1); block <= 300; block++ {
+		txs := make([]*types.Transaction, rng.Intn(60))
+		for i := range txs {
+			txs[i] = types.NewTransaction(wire.NodeID(1000+rng.Intn(8)), rng.Uint64()%500, 512, 0)
+		}
+		byClient := make(map[wire.NodeID][]uint64)
+		var clients []wire.NodeID
+		for _, tx := range txs {
+			if _, ok := byClient[tx.Client]; !ok {
+				clients = append(clients, tx.Client)
+			}
+			byClient[tx.Client] = append(byClient[tx.Client], tx.Seq)
+		}
+		sort.Slice(clients, func(i, j int) bool { return clients[i] < clients[j] })
+
+		ctx.to, ctx.replies = nil, nil
+		n.execCommit(block, txs, nil)
+		if !slices.Equal(ctx.to, clients) {
+			t.Fatalf("block %d: replies went to %v, want %v", block, ctx.to, clients)
+		}
+		for i, r := range ctx.replies {
+			if r.Height != block || r.Replica != 2 || !slices.Equal(r.Seqs, byClient[clients[i]]) {
+				t.Fatalf("block %d client %d: reply %+v, want seqs %v", block, clients[i], r, byClient[clients[i]])
+			}
+		}
 	}
 }

@@ -14,6 +14,18 @@
 // else (PASS/ok lines, test logs). The output is deterministic for a
 // given input: results appear in input order and no timestamps are
 // recorded.
+//
+// With -compare FILE it also gates the input against a committed
+// document:
+//
+//	go test -bench=. -benchmem | go run ./tools/benchjson -o /dev/null -compare BENCH_kernels.json
+//
+// Every input row that FILE also holds prints its allocs/op and ns/op
+// deltas next to its cpus metric. The command fails when any row's
+// allocs/op exceeds the committed value by more than 5%, or when a
+// committed row is missing from the input (its benchmark failed or was
+// not run). allocs/op is the gate because it repeats across machines;
+// ns/op drifts with the host and is printed only.
 package main
 
 import (
@@ -55,6 +67,7 @@ func run(argv []string, in io.Reader, errw io.Writer) int {
 	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
 	fs.SetOutput(errw)
 	out := fs.String("o", "BENCH_kernels.json", "output JSON path (- for stdout)")
+	compare := fs.String("compare", "", "committed JSON to gate allocs/op against (empty: no gate)")
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
@@ -66,6 +79,17 @@ func run(argv []string, in io.Reader, errw io.Writer) int {
 	if len(doc.Results) == 0 {
 		fmt.Fprintln(errw, "benchjson: no benchmark lines found in input")
 		return 1
+	}
+	if *compare != "" {
+		base, err := load(*compare)
+		if err != nil {
+			fmt.Fprintln(errw, "benchjson:", err)
+			return 1
+		}
+		if !Compare(errw, base, doc) {
+			fmt.Fprintf(errw, "benchjson: a row of %s is missing or its allocs/op rose more than %.0f%%\n", *compare, allocSlack*100)
+			return 1
+		}
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -168,4 +192,86 @@ func trimProcSuffix(name string) string {
 		return name
 	}
 	return name[:i]
+}
+
+// allocSlack is how far a row's allocs/op may rise above the committed
+// value before Compare fails it.
+const allocSlack = 0.05
+
+// load reads a document written by this command.
+func load(path string) (*Doc, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	doc := &Doc{}
+	if err := json.Unmarshal(data, doc); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return doc, nil
+}
+
+// Compare prints one line per row of cur that base also holds — allocs/op
+// and ns/op, committed → now, with each row's cpus — and reports false
+// when any row's allocs/op exceeds base's by more than allocSlack or a
+// row of base is missing from cur. Rows only cur holds are listed, not
+// gated.
+func Compare(w io.Writer, base, cur *Doc) bool {
+	committed := make(map[string]Result, len(base.Results))
+	for _, r := range base.Results {
+		committed[r.Name] = r
+	}
+	ok := true
+	for _, r := range cur.Results {
+		b, found := committed[r.Name]
+		if !found {
+			fmt.Fprintf(w, "%-40s new row, not gated\n", r.Name)
+			continue
+		}
+		delete(committed, r.Name)
+		verdict := ""
+		if b.AllocsPerOp != nil && r.AllocsPerOp != nil &&
+			float64(*r.AllocsPerOp) > float64(*b.AllocsPerOp)*(1+allocSlack) {
+			verdict = "  FAIL"
+			ok = false
+		}
+		fmt.Fprintf(w, "%-40s allocs/op %s  ns/op %.4g → %.4g (%s)  cpus %s → %s%s\n",
+			r.Name, allocDelta(b.AllocsPerOp, r.AllocsPerOp),
+			b.NsPerOp, r.NsPerOp, pct(b.NsPerOp, r.NsPerOp),
+			cpus(b), cpus(r), verdict)
+	}
+	for _, b := range base.Results {
+		if _, left := committed[b.Name]; left {
+			fmt.Fprintf(w, "%-40s committed but not run  FAIL\n", b.Name)
+			ok = false
+		}
+	}
+	return ok
+}
+
+// allocDelta renders committed → current allocs/op.
+func allocDelta(base, cur *int64) string {
+	if base == nil || cur == nil {
+		return "n/a"
+	}
+	return fmt.Sprintf("%d → %d (%s)", *base, *cur, pct(float64(*base), float64(*cur)))
+}
+
+// pct renders the relative change from base to cur.
+func pct(base, cur float64) string {
+	if base == 0 {
+		if cur == 0 {
+			return "+0%"
+		}
+		return "from 0"
+	}
+	return fmt.Sprintf("%+.1f%%", (cur-base)/base*100)
+}
+
+// cpus renders a row's cpus metric, or "?" for rows that do not record it.
+func cpus(r Result) string {
+	if v, ok := r.Extra["cpus"]; ok {
+		return strconv.FormatFloat(v, 'g', -1, 64)
+	}
+	return "?"
 }

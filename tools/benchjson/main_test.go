@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"strings"
 	"testing"
 )
@@ -77,5 +78,66 @@ func TestTrimProcSuffix(t *testing.T) {
 		if got := trimProcSuffix(in); got != want {
 			t.Errorf("trimProcSuffix(%q) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+func i64(v int64) *int64 { return &v }
+
+func TestCompare(t *testing.T) {
+	base := &Doc{Results: []Result{
+		{Name: "BenchmarkA", NsPerOp: 100, AllocsPerOp: i64(1000), Extra: map[string]float64{"cpus": 2}},
+		{Name: "BenchmarkZero", NsPerOp: 50, AllocsPerOp: i64(0)},
+	}}
+	for _, tc := range []struct {
+		name   string
+		a, z   int64
+		wantOK bool
+	}{
+		{"equal", 1000, 0, true},
+		{"fewer", 900, 0, true},
+		{"within 5%", 1050, 0, true},
+		{"past 5%", 1051, 0, false},
+		{"zero-alloc row allocates", 1000, 1, false},
+	} {
+		cur := &Doc{Results: []Result{
+			{Name: "BenchmarkA", NsPerOp: 130, AllocsPerOp: i64(tc.a), Extra: map[string]float64{"cpus": 2}},
+			{Name: "BenchmarkZero", NsPerOp: 40, AllocsPerOp: i64(tc.z)},
+			{Name: "BenchmarkNew", NsPerOp: 1, AllocsPerOp: i64(99)},
+		}}
+		var out strings.Builder
+		if got := Compare(&out, base, cur); got != tc.wantOK {
+			t.Errorf("%s: Compare = %v, want %v\n%s", tc.name, got, tc.wantOK, out.String())
+		}
+		report := out.String()
+		for _, want := range []string{"+30.0%", "cpus 2 → 2", "cpus ? → ?", "BenchmarkNew", "new row"} {
+			if !strings.Contains(report, want) {
+				t.Errorf("%s: report lacks %q:\n%s", tc.name, want, report)
+			}
+		}
+	}
+	// A committed row whose benchmark did not run fails the gate.
+	withGone := &Doc{Results: append(base.Results[:2:2], Result{Name: "BenchmarkGone", NsPerOp: 10, AllocsPerOp: i64(1)})}
+	var out strings.Builder
+	if Compare(&out, withGone, base) || !strings.Contains(out.String(), "BenchmarkGone") {
+		t.Errorf("missing committed row passed:\n%s", out.String())
+	}
+}
+
+func TestRunCompareExitCode(t *testing.T) {
+	dir := t.TempDir()
+	committed := dir + "/BENCH.json"
+	if code := run([]string{"-o", committed}, strings.NewReader(sample), io.Discard); code != 0 {
+		t.Fatalf("writing the committed file: exit %d", code)
+	}
+	if code := run([]string{"-o", dir + "/same.json", "-compare", committed}, strings.NewReader(sample), io.Discard); code != 0 {
+		t.Fatalf("identical input: exit %d, want 0", code)
+	}
+	worse := strings.Replace(sample, "2 allocs/op", "3 allocs/op", 1)
+	var errw strings.Builder
+	if code := run([]string{"-o", dir + "/cur.json", "-compare", committed}, strings.NewReader(worse), &errw); code != 1 {
+		t.Fatalf("allocs/op 2 → 3: exit %d, want 1\n%s", code, errw.String())
+	}
+	if code := run([]string{"-o", dir + "/out.json", "-compare", dir + "/missing.json"}, strings.NewReader(sample), io.Discard); code != 1 {
+		t.Fatalf("missing committed file: exit %d, want 1", code)
 	}
 }
